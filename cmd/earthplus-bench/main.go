@@ -13,7 +13,6 @@
 //	earthplus-bench -only servebench   # serving-tier load snapshot -> BENCH_serve.json
 //	earthplus-bench -only constsweep   # contended ground-station sweep
 //	earthplus-bench -only simscale     # engine worker-scaling probe
-//	earthplus-bench -parallel 8        # bound per-image band workers
 //	earthplus-bench -simworkers 8      # bound per-day location shards
 //	earthplus-bench -list
 package main
@@ -33,13 +32,9 @@ import (
 
 func main() {
 	var perf cli.Perf
-	var store cli.Storage
-	var lnk cli.Link
-	var fleet cli.Fleet
+	var params cli.SystemParams
 	perf.Register(flag.CommandLine)
-	store.Register(flag.CommandLine)
-	lnk.Register(flag.CommandLine)
-	fleet.Register(flag.CommandLine)
+	params.Register(flag.CommandLine)
 	full := flag.Bool("full", false, "run at full (paper-ish) scale instead of quick")
 	only := flag.String("only", "", "run a single experiment (see -list)")
 	list := flag.Bool("list", false, "list experiment identifiers and exit")
@@ -50,16 +45,14 @@ func main() {
 	serveBenchJSON := flag.String("servebenchjson", "BENCH_serve.json",
 		"where servebench writes its JSON snapshot (empty = don't write)")
 	flag.Parse()
-	cli.MustValidate("earthplus-bench", &store, &lnk, &fleet)
-	perf.Apply()
-	store.Apply()
-	lnk.Apply()
-	fleet.Apply()
+	cli.MustValidate("earthplus-bench", &params)
 
 	sc := earthplus.QuickScale()
 	if *full {
 		sc = earthplus.FullScale()
 	}
+	sc.SimWorkers = perf.SimWorkers
+	params.ApplyToSpec(&sc.EarthPlus)
 	jobs := earthplus.Experiments(sc, *benchJSON, *simBenchJSON)
 	// The serving-tier load snapshot lives outside the public catalog:
 	// internal/experiments sits below pkg/earthplus in the import graph and

@@ -22,8 +22,6 @@ import (
 const cmdName = "earthplus-encode"
 
 func main() {
-	var perf cli.Perf
-	perf.RegisterCodec(flag.CommandLine)
 	in := flag.String("in", "", "input file (PGM for encode, codestream for decode)")
 	out := flag.String("out", "", "output file (empty with -roundtrip)")
 	bpp := flag.Float64("bpp", 0, "bits per pixel budget (0 = near-lossless)")
@@ -31,7 +29,6 @@ func main() {
 	decode := flag.Bool("decode", false, "decode a codestream back to PGM")
 	roundtrip := flag.Bool("roundtrip", false, "encode+decode in memory and report PSNR")
 	flag.Parse()
-	perf.Apply()
 
 	if *in == "" {
 		cli.Fail(cmdName, "missing -in")

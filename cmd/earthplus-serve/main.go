@@ -9,7 +9,7 @@
 // Usage:
 //
 //	earthplus-serve -addr :8080
-//	earthplus-serve -addr :8080 -concurrency 16 -bpp 1.0 -parallel 4
+//	earthplus-serve -addr :8080 -concurrency 16 -bpp 1.0
 //	earthplus-serve -cachedir /var/cache/earthplus -cachedisk 4294967296 \
 //	    -ratelimit 50 -rateburst 100 -clientheader X-Client-Id
 //
@@ -38,8 +38,6 @@ import (
 const cmdName = "earthplus-serve"
 
 func main() {
-	var perf cli.Perf
-	perf.RegisterCodec(flag.CommandLine)
 	addr := flag.String("addr", ":8080", "listen address")
 	concurrency := flag.Int("concurrency", 0, "max concurrent encode/decode requests (0 = GOMAXPROCS)")
 	queueWait := flag.Duration("queuewait", 10*time.Second, "how long a request may queue for a worker slot")
@@ -61,7 +59,6 @@ func main() {
 	clientHeader := flag.String("clientheader", "",
 		"request header carrying the rate-limit client identity, for deployments behind a trusted proxy (empty = remote IP)")
 	flag.Parse()
-	perf.Apply()
 
 	cfg := serve.Config{
 		MaxConcurrent:  *concurrency,

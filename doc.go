@@ -124,8 +124,8 @@
 // buffers (scratch planes, significance maps, probability contexts and
 // coder buffers are pooled), the bit-plane scan skips all-insignificant
 // rows in bulk, sign bits travel as batched bypass bits, and multi-band
-// images are coded by a bounded worker pool (codec.Options.Parallelism,
-// package default codec.Parallelism, earthplus-bench/-sim flag -parallel).
+// images are coded by a bounded worker pool (codec.Options.Parallelism;
+// zero = GOMAXPROCS).
 // The tiled (EPT1) profile (codec.Options.Tiled, flag -tiledstore,
 // registry param "tiled_store") trades a modest rate-distortion cost for
 // a per-tile RLGR fast path — single-thread encode beats the monolithic

@@ -1,9 +1,11 @@
 // Package cli holds the flag plumbing shared by every executable under
-// cmd/: the performance knobs (-parallel, -simworkers), the dataset
-// selection flags (-dataset, -sats, -fullsize) with their environment
-// construction, and uniform fatal-error reporting. The cmds themselves
-// speak only the public pkg/earthplus API; this package exists so five
-// main functions do not each re-implement the same plumbing.
+// cmd/: the engine worker flag (-simworkers), the system-param flag groups
+// (storage, link, ground stations) with their one mapping onto a
+// SystemSpec, the dataset selection flags (-dataset, -sats, -fullsize)
+// with their environment construction, and uniform fatal-error reporting.
+// The cmds themselves speak only the public pkg/earthplus API; this
+// package exists so five main functions do not each re-implement the same
+// plumbing.
 package cli
 
 import (
@@ -14,32 +16,45 @@ import (
 	"earthplus/pkg/earthplus"
 )
 
-// Perf bundles the performance flags every workload-running cmd exposes.
+// Perf bundles the performance flags of the cmds that run the simulation
+// engine.
 type Perf struct {
-	// Parallel bounds the bands encoded/decoded concurrently per image.
-	Parallel int
 	// SimWorkers bounds the locations simulated concurrently per day.
 	SimWorkers int
 }
 
-// Register installs both performance flags on fs.
+// Register installs the performance flags on fs.
 func (p *Perf) Register(fs *flag.FlagSet) {
-	p.RegisterCodec(fs)
 	fs.IntVar(&p.SimWorkers, "simworkers", 0,
 		"locations simulated concurrently per day (0 = GOMAXPROCS, 1 = serial; results are identical at any setting)")
 }
 
-// RegisterCodec installs only the codec flag (for cmds that never run
-// the simulation engine).
-func (p *Perf) RegisterCodec(fs *flag.FlagSet) {
-	fs.IntVar(&p.Parallel, "parallel", 0,
-		"bands encoded/decoded concurrently per image (0 = GOMAXPROCS)")
+// SystemParams bundles the flag groups that become system params — the
+// on-board store, the link and the ground stations — so every simulation
+// cmd registers, validates and applies them the same way.
+type SystemParams struct {
+	Storage Storage
+	Link    Link
+	Fleet   Fleet
 }
 
-// Apply pushes the parsed values into the package-wide defaults.
-func (p *Perf) Apply() {
-	earthplus.SetCodecParallelism(p.Parallel)
-	earthplus.SetSimWorkers(p.SimWorkers)
+// Register installs every group's flags on fs.
+func (p *SystemParams) Register(fs *flag.FlagSet) {
+	p.Storage.Register(fs)
+	p.Link.Register(fs)
+	p.Fleet.Register(fs)
+}
+
+// Validate returns the first group's validation failure, or nil.
+func (p *SystemParams) Validate() error {
+	return FirstError(&p.Storage, &p.Link, &p.Fleet)
+}
+
+// ApplyToSpec sets every group's parsed values as explicit params on spec.
+func (p *SystemParams) ApplyToSpec(spec *earthplus.SystemSpec) {
+	p.Storage.ApplyToSpec(spec)
+	p.Link.ApplyToSpec(spec)
+	p.Fleet.ApplyToSpec(spec)
 }
 
 // Storage bundles the on-board reference-store flags shared by the
@@ -72,12 +87,6 @@ func (s *Storage) Register(fs *flag.FlagSet) {
 		"store on-board references compressed (~2-5x more locations per storage budget, paid in decode-on-visit work; default off)")
 	fs.BoolVar(&s.TiledStore, "tiledstore", false,
 		"use the tiled (EPT1) codestream profile for updates, downloads and the store: per-tile splices and region decode (default off = monolithic v1 profile)")
-}
-
-// Apply pushes the parsed values into the experiment-sweep defaults.
-func (s *Storage) Apply() {
-	earthplus.SetStorageModel(s.Bytes, s.Policy)
-	earthplus.SetRefCompression(s.RefCompress)
 }
 
 // Validate rejects flag values no run could honour, so a typo fails with
@@ -151,11 +160,6 @@ func (l *Link) Validate() error {
 	return nil
 }
 
-// Apply pushes the parsed values into the experiment-sweep defaults.
-func (l *Link) Apply() {
-	earthplus.SetLinkFaults(l.Loss, l.Seed)
-}
-
 // ApplyToSpec sets the parsed values as explicit system params on spec —
 // only when a loss rate was actually set, so default runs stay
 // byte-identical to the perfect channel (and systems without a link
@@ -200,11 +204,6 @@ func (f *Fleet) Validate() error {
 		return fmt.Errorf("-contactbudget %d needs -stations > 0", f.ContactBudget)
 	}
 	return nil
-}
-
-// Apply pushes the parsed values into the experiment-sweep defaults.
-func (f *Fleet) Apply() {
-	earthplus.SetConstellation(f.Stations, f.ContactBudget)
 }
 
 // ApplyToSpec sets the parsed values as explicit system params on spec —

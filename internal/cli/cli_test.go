@@ -12,17 +12,12 @@ func TestPerfFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var p Perf
 	p.Register(fs)
-	if err := fs.Parse([]string{"-parallel", "3", "-simworkers", "5"}); err != nil {
+	if err := fs.Parse([]string{"-simworkers", "5"}); err != nil {
 		t.Fatal(err)
 	}
-	if p.Parallel != 3 || p.SimWorkers != 5 {
+	if p.SimWorkers != 5 {
 		t.Fatalf("parsed %+v", p)
 	}
-	p.Apply()
-	defer func() {
-		earthplus.SetCodecParallelism(0)
-		earthplus.SetSimWorkers(0)
-	}()
 }
 
 func TestStorageFlags(t *testing.T) {
@@ -106,18 +101,6 @@ func TestFlagValidationPath(t *testing.T) {
 	}
 	if err := FirstError(ok...); err != nil {
 		t.Fatalf("valid flag groups rejected: %v", err)
-	}
-}
-
-func TestPerfCodecOnly(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	var p Perf
-	p.RegisterCodec(fs)
-	if err := fs.Parse([]string{"-parallel", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	if fs.Lookup("simworkers") != nil {
-		t.Fatal("RegisterCodec must not install -simworkers")
 	}
 }
 

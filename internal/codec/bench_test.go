@@ -1,11 +1,6 @@
 package codec
 
-import (
-	"fmt"
-	"testing"
-
-	"earthplus/internal/raster"
-)
+import "testing"
 
 // The codec is the hot path of every experiment in the reproduction, so its
 // encode/decode throughput and steady-state allocation behaviour are tracked
@@ -60,32 +55,6 @@ func BenchmarkEncodePlane512(b *testing.B) { benchEncodePlane(b, 512) }
 func BenchmarkDecodePlane64(b *testing.B)  { benchDecodePlane(b, 64) }
 func BenchmarkDecodePlane256(b *testing.B) { benchDecodePlane(b, 256) }
 func BenchmarkDecodePlane512(b *testing.B) { benchDecodePlane(b, 512) }
-
-// BenchmarkEncodeImageParallel measures the multi-band worker pool at
-// several widths; /1 is the serial reference.
-func BenchmarkEncodeImageParallel(b *testing.B) {
-	const size = 256
-	im := raster.New(size, size, raster.PlanetBands())
-	for bd := 0; bd < im.NumBands(); bd++ {
-		copy(im.Plane(bd), testPlane(uint64(30+bd), size, size))
-	}
-	im.Clamp()
-	opt := DefaultOptions()
-	opt.BudgetBytes = BudgetForBPP(0.5, size, size) * im.NumBands()
-	for _, par := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("%d", par), func(b *testing.B) {
-			o := opt
-			o.Parallelism = par
-			b.SetBytes(int64(size) * int64(size) * 4 * int64(im.NumBands()))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := EncodeImage(im, o); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 func BenchmarkEncodePlaneLossless256(b *testing.B) {
 	plane := testPlane(13, 256, 256)

@@ -17,20 +17,17 @@
 // per-call scratch state is pooled (steady-state encodes allocate only the
 // returned codestream), the bit-plane scan skips insignificant rows in
 // bulk, sign bits travel as batched bypass bits, and multi-band images are
-// coded by a bounded worker pool (see Options.Parallelism and the package
-// Parallelism default).
+// coded by a bounded worker pool (see Options.Parallelism).
 package codec
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"earthplus/internal/eperr"
-	"earthplus/internal/raster"
 	"earthplus/internal/wavelet"
 )
 
@@ -49,11 +46,10 @@ type Options struct {
 	// and layer table, never exceeds the budget (provided the budget
 	// covers at least the fixed header).
 	BudgetBytes int
-	// Parallelism bounds the number of bands EncodeImage and the ROI
-	// helpers code concurrently — and, under the tiled profile, the number
-	// of tiles coded concurrently within one plane. Zero falls back to the
-	// package-level Parallelism default, which itself defaults to
-	// GOMAXPROCS.
+	// Parallelism bounds the number of bands the multi-band callers (the
+	// ROI helpers, the reference-store codec) code concurrently — and,
+	// under the tiled profile, the number of tiles coded concurrently
+	// within one plane. Zero means GOMAXPROCS.
 	Parallelism int
 	// Tiled routes EncodePlane through the tiled (EPT1) profile: fixed
 	// square tiles coded independently with the RLGR fast path, a
@@ -92,28 +88,17 @@ const (
 	refContexts = 4  // per subband kind
 )
 
-// MaxDecodePixels bounds the plane size the decoders will reconstruct. A
+// maxDecodePixels bounds the plane size the decoders will reconstruct. A
 // codestream header is a few dozen bytes however large a plane it claims,
 // so without a bound a corrupt or hostile stream can demand gigabytes of
-// scratch and seconds of inverse-transform work. The default admits every
-// geometry the encoder accepts up to 8192x8192; operators decoding from
-// untrusted links can tighten it, and 0 disables the check entirely.
-var MaxDecodePixels = 1 << 26
+// scratch and seconds of inverse-transform work. It admits every geometry
+// the encoder accepts up to 8192x8192.
+const maxDecodePixels = 1 << 26
 
-// Parallelism is the package-wide default for the number of bands encoded
-// or decoded concurrently when Options.Parallelism is zero. Values <= 0
-// mean GOMAXPROCS. It exists so whole-constellation simulations can turn
-// one knob (earthplus-bench -parallel) without threading an option through
-// every call site.
-var Parallelism int
-
-// Workers resolves a requested parallelism (0 = package default) against n
+// Workers resolves a requested parallelism (<= 0 = GOMAXPROCS) against n
 // independent band tasks.
 func Workers(requested, n int) int {
 	p := requested
-	if p <= 0 {
-		p = Parallelism
-	}
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
@@ -478,8 +463,8 @@ func DecodePlane(data []byte, maxLayers int) ([]float32, int, int, error) {
 	return decodePlane(data, maxLayers, nil)
 }
 
-// decodePlane reconstructs into buf when it has the capacity (the image and
-// ROI paths pass a destination to avoid a copy), allocating otherwise. The
+// decodePlane reconstructs into buf when it has the capacity (the ROI path
+// passes a destination to avoid a copy), allocating otherwise. The
 // destination is fully overwritten. Tiled streams are recognised by magic
 // and routed to the tiled decoder (which has no quality layers, so
 // maxLayers is ignored there).
@@ -495,8 +480,8 @@ func decodePlane(data []byte, maxLayers int, buf []float32) ([]float32, int, int
 	}
 	w, h := p.W, p.H
 	n := w * h
-	if MaxDecodePixels > 0 && n > MaxDecodePixels {
-		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec", "%dx%d plane exceeds MaxDecodePixels %d", w, h, MaxDecodePixels)
+	if n > maxDecodePixels {
+		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec", "%dx%d plane exceeds the %d-pixel decode bound", w, h, maxDecodePixels)
 	}
 	g := geometryFor(w, h, p.Levels)
 	norms := g.subbandNorms(w, h, p.Levels)
@@ -566,89 +551,4 @@ func decodePlane(data []byte, maxLayers int, buf []float32) ([]float32, int, int
 	}
 	wavelet.Inverse97(out, w, h, p.Levels)
 	return out, w, h, nil
-}
-
-// EncodeImage encodes every band of im, splitting opt.BudgetBytes equally
-// across bands (the paper spends the γ budget per band, treating bands
-// separately). Bands are coded concurrently by a worker pool of
-// Workers(opt.Parallelism, bands) goroutines.
-func EncodeImage(im *raster.Image, opt Options) ([][]byte, error) {
-	perBand := opt
-	if opt.BudgetBytes > 0 {
-		perBand.BudgetBytes = opt.BudgetBytes / im.NumBands()
-		if perBand.BudgetBytes < 32 {
-			perBand.BudgetBytes = 32
-		}
-	}
-	nb := im.NumBands()
-	out := make([][]byte, nb)
-	errs := make([]error, nb)
-	ParallelBands(opt.Parallelism, nb, func(b int) {
-		data, err := EncodePlane(im.Plane(b), im.Width, im.Height, perBand)
-		if err != nil {
-			errs[b] = fmt.Errorf("codec: band %d: %w", b, err)
-			return
-		}
-		out[b] = data
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// DecodeImage reconstructs a multi-band image from EncodeImage output.
-// The band metadata is attached to the result and must match the stream
-// count. Bands are decoded concurrently under the package Parallelism
-// default, each directly into its destination plane.
-func DecodeImage(enc [][]byte, bands []raster.BandInfo, maxLayers int) (*raster.Image, error) {
-	if len(enc) != len(bands) {
-		return nil, eperr.New(eperr.BadCodestream, "codec", "%d streams for %d bands", len(enc), len(bands))
-	}
-	if len(enc) == 0 {
-		return nil, eperr.New(eperr.BadCodestream, "codec", "no bands to decode")
-	}
-	info, err := Parse(enc[0])
-	if err != nil {
-		return nil, fmt.Errorf("codec: band 0: %w", err)
-	}
-	im := raster.New(info.W, info.H, bands)
-	errs := make([]error, len(enc))
-	ParallelBands(0, len(enc), func(b int) {
-		plane, w, h, err := decodePlane(enc[b], maxLayers, im.Plane(b))
-		if err != nil {
-			errs[b] = fmt.Errorf("codec: band %d: %w", b, err)
-			return
-		}
-		if w != im.Width || h != im.Height {
-			errs[b] = eperr.New(eperr.BadCodestream, "codec", "band %d geometry %dx%d differs", b, w, h)
-			return
-		}
-		if &plane[0] != &im.Plane(b)[0] {
-			copy(im.Plane(b), plane)
-		}
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	im.Clamp()
-	return im, nil
-}
-
-// ZeroOutsideROI clears every tile not marked in roi, in every band. The
-// wavelet transform then spends almost no bits on those regions, which is
-// how the codec realises the paper's region-of-interest encoding.
-func ZeroOutsideROI(im *raster.Image, roi *raster.TileMask) {
-	for t, keep := range roi.Set {
-		if keep {
-			continue
-		}
-		for b := 0; b < im.NumBands(); b++ {
-			raster.ZeroTile(im, b, roi.Grid, t)
-		}
-	}
 }

@@ -2,6 +2,8 @@ package codec
 
 import (
 	"encoding/binary"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -188,29 +190,61 @@ func FuzzDecodePlaneLossless(f *testing.F) {
 }
 
 // TestMaxDecodePixels: a tiny header claiming a huge plane must be
-// rejected before any geometry-sized allocation happens.
+// rejected before any geometry-sized allocation happens. Each profile's
+// stream is re-headed to claim 16384x16384 (1<<28 pixels, past the
+// 1<<26 bound); every other header field stays plausible for that
+// geometry, so the pixel bound is what rejects it.
 func TestMaxDecodePixels(t *testing.T) {
-	old := MaxDecodePixels
-	defer func() { MaxDecodePixels = old }()
-
-	data := fuzzSeedStream(t, 64, 64, 0)
-	MaxDecodePixels = 1024 // below the stream's 64*64
-	if _, _, _, err := DecodePlane(data, 0); err == nil {
-		t.Fatal("expected MaxDecodePixels rejection")
+	claimHuge := func(data []byte) []byte {
+		b := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint16(b[4:], 1<<14)
+		binary.LittleEndian.PutUint16(b[6:], 1<<14)
+		return b
 	}
 	lossless, err := EncodePlaneLossless(testPlane(2, 64, 64), 64, 64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := DecodePlaneLossless(lossless); err == nil {
-		t.Fatal("expected lossless MaxDecodePixels rejection")
+	// A tiled stream whose tile grid covers the claimed plane: 255px tiles
+	// (65x65 of them) with empty payloads, so the index parses.
+	const tile, span = 255, (1<<14 + 254) / 255
+	tiled := make([]byte, tiledHdrLen+tiledIndexEntry*span*span)
+	copy(tiled, tiledMagic)
+	tiled[8] = 3
+	binary.LittleEndian.PutUint32(tiled[9:], math.Float32bits(1.0/2048))
+	tiled[13] = tile
+	binary.LittleEndian.PutUint32(tiled[14:], span*span)
+	for i := 0; i < span*span; i++ {
+		binary.LittleEndian.PutUint32(tiled[tiledHdrLen+tiledIndexEntry*i:], uint32(len(tiled)))
 	}
-	MaxDecodePixels = 0 // disabled: both must decode again
-	if _, _, _, err := DecodePlane(data, 0); err != nil {
-		t.Fatal(err)
+	tiled = claimHuge(tiled)
+
+	decoders := map[string]func() error{
+		"monolithic": func() error {
+			_, _, _, err := DecodePlane(claimHuge(fuzzSeedStream(t, 64, 64, 0)), 0)
+			return err
+		},
+		"lossless": func() error {
+			_, _, _, err := DecodePlaneLossless(claimHuge(lossless))
+			return err
+		},
+		"tiled": func() error {
+			_, _, _, err := DecodePlane(tiled, 0)
+			return err
+		},
+		"tiled region": func() error {
+			_, _, _, err := DecodeRegion(tiled, 0, 0, 1<<14, 1<<14)
+			return err
+		},
 	}
-	if _, _, _, err := DecodePlaneLossless(lossless); err != nil {
-		t.Fatal(err)
+	for name, decode := range decoders {
+		err := decode()
+		if err == nil || !strings.Contains(err.Error(), "decode bound") {
+			t.Errorf("%s: err = %v, want the pixel-bound rejection", name, err)
+		}
+	}
+	if _, err := Parse(tiled); err != nil {
+		t.Fatalf("the re-headed tiled stream must parse, so the bound is what rejects it: %v", err)
 	}
 }
 

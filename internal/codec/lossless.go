@@ -128,8 +128,8 @@ func DecodePlaneLossless(data []byte) ([]float32, int, int, error) {
 	if maxPlane > 32 {
 		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec", "implausible lossless plane count %d", maxPlane)
 	}
-	if MaxDecodePixels > 0 && w*h > MaxDecodePixels {
-		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec", "%dx%d plane exceeds MaxDecodePixels %d", w, h, MaxDecodePixels)
+	if w*h > maxDecodePixels {
+		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec", "%dx%d plane exceeds the %d-pixel decode bound", w, h, maxDecodePixels)
 	}
 	g := geometryFor(w, h, levels)
 	if len(g.sbs) != nSb || len(data) < 11+nSb {

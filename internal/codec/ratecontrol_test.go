@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -93,22 +94,16 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 
 // TestWorkers pins the parallelism resolution rules.
 func TestWorkers(t *testing.T) {
-	old := Parallelism
-	defer func() { Parallelism = old }()
-
-	Parallelism = 0
 	if got := Workers(3, 8); got != 3 {
 		t.Fatalf("Workers(3, 8) = %d, want 3", got)
 	}
 	if got := Workers(16, 4); got != 4 {
 		t.Fatalf("Workers(16, 4) = %d, want clamp to 4 tasks", got)
 	}
-	Parallelism = 2
-	if got := Workers(0, 8); got != 2 {
-		t.Fatalf("Workers(0, 8) with package default 2 = %d", got)
+	if got, want := Workers(0, 64), min(runtime.GOMAXPROCS(0), 64); got != want {
+		t.Fatalf("Workers(0, 64) = %d, want GOMAXPROCS-bound %d", got, want)
 	}
-	Parallelism = 0
-	if got := Workers(0, 64); got < 1 {
+	if got := Workers(-1, 0); got != 1 {
 		t.Fatalf("Workers must be at least 1, got %d", got)
 	}
 }

@@ -339,20 +339,17 @@ func TiledEncodePlane(plane []float32, w, h int, opt Options) ([]byte, error) {
 	return assembleTiled(w, h, tile, opt.Levels, opt.BaseStep, tiles), nil
 }
 
-// TiledDecodePlane reconstructs a plane from a tiled codestream.
-func TiledDecodePlane(data []byte) ([]float32, int, int, error) {
-	return tiledDecodePlane(data, nil)
-}
-
+// tiledDecodePlane reconstructs a plane from a tiled codestream into buf
+// when it has the capacity, allocating otherwise.
 func tiledDecodePlane(data []byte, buf []float32) ([]float32, int, int, error) {
 	p, err := parseTiled(data)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	n := p.w * p.h
-	if MaxDecodePixels > 0 && n > MaxDecodePixels {
+	if n > maxDecodePixels {
 		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec",
-			"%dx%d plane exceeds MaxDecodePixels %d", p.w, p.h, MaxDecodePixels)
+			"%dx%d plane exceeds the %d-pixel decode bound", p.w, p.h, maxDecodePixels)
 	}
 	var out []float32
 	if cap(buf) >= n {
@@ -416,9 +413,9 @@ func DecodeRegion(data []byte, x, y, rw, rh int) ([]float32, int, int, error) {
 			"region (%d,%d)+%dx%d outside %dx%d plane", x, y, rw, rh, p.w, p.h)
 	}
 	cw, ch := cx1-cx0, cy1-cy0
-	if MaxDecodePixels > 0 && cw*ch > MaxDecodePixels {
+	if cw*ch > maxDecodePixels {
 		return nil, 0, 0, eperr.New(eperr.BadCodestream, "codec",
-			"%dx%d region exceeds MaxDecodePixels %d", cw, ch, MaxDecodePixels)
+			"%dx%d region exceeds the %d-pixel decode bound", cw, ch, maxDecodePixels)
 	}
 	out := make([]float32, cw*ch)
 	c0, r0, c1, r1 := raster.TileRange(p.w, p.h, p.tile, cx0, cy0, cx1, cy1)

@@ -269,7 +269,7 @@ func TestTiledDecodeRejectsHostileHeaders(t *testing.T) {
 		"zero width":       mutate(func(b []byte) { b[4], b[5] = 0, 0 }),
 	}
 	for name, b := range cases {
-		if _, _, _, err := TiledDecodePlane(b); err == nil {
+		if _, _, _, err := DecodePlane(b, 0); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -788,24 +788,10 @@ func (s *System) DecodeWall() time.Duration {
 	return total
 }
 
-// TileStats sums the fleet's codec-tile counters under the tiled store
-// profile: tiles actually entropy-coded by per-tile splices versus the
-// tiles whole-frame re-encodes would have touched (zero on the
-// monolithic profile or without RefCompression). Advisory like
-// DecodeStats — the counters never influence results.
-func (s *System) TileStats() (decoded, total int64) {
-	for id := 0; id < s.env.Orbit.Satellites; id++ {
-		d, tt := s.cacheFor(id).TileStats()
-		decoded += d
-		total += tt
-	}
-	return decoded, total
-}
-
 // SpliceTileStats reports the ground segment's per-tile mirror splice
 // counters under the tiled store profile: codec tiles re-encoded versus
 // the tiles whole-mirror re-encodes would have touched. Advisory like
-// TileStats.
+// DecodeStats — the counters never influence results.
 func (s *System) SpliceTileStats() (reencoded, total int64) {
 	return s.ground.SpliceTileStats()
 }

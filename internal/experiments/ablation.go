@@ -59,7 +59,7 @@ func (r *AblationResult) Render(w io.Writer) error {
 // variant flows through the same registry code path.
 func ablationRun(sc Scale, label string, spec registry.Spec) (AblationPoint, error) {
 	cfg := scene.LargeConstellationSampled(sc.Size)
-	env := envFor(cfg, planetOrbit(8), defaultUplinkDivisor)
+	env := envFor(sc, cfg, planetOrbit(8), defaultUplinkDivisor)
 	if spec.Theta == 0 {
 		spec.Theta = profiledTheta(sc, cfg, core.DefaultConfig().RefDownsample)
 	}

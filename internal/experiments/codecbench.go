@@ -31,11 +31,10 @@ type CodecBenchEntry struct {
 
 // CodecBenchResult is the full snapshot.
 type CodecBenchResult struct {
-	GoVersion   string            `json:"go_version"`
-	GOMAXPROCS  int               `json:"gomaxprocs"`
-	Parallelism int               `json:"codec_parallelism"`
-	Entries     []CodecBenchEntry `json:"entries"`
-	path        string
+	GoVersion  string            `json:"go_version"`
+	GOMAXPROCS int               `json:"gomaxprocs"`
+	Entries    []CodecBenchEntry `json:"entries"`
+	path       string
 }
 
 // ID implements Result.
@@ -66,10 +65,9 @@ func benchPlane(seed uint64, w, h int) []float32 {
 // when outPath is non-empty, writes the JSON snapshot there.
 func CodecBench(outPath string) (*CodecBenchResult, error) {
 	res := &CodecBenchResult{
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Parallelism: codec.Parallelism,
-		path:        outPath,
+		GoVersion:  runtime.Version(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		path:       outPath,
 	}
 	for _, size := range []int{64, 256, 512} {
 		size := size

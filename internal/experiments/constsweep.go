@@ -114,7 +114,7 @@ func ConstellationSweep(sc Scale) (*ConstSweepResult, error) {
 	}
 	for _, sats := range constSweepSats {
 		for _, stations := range constSweepStations {
-			env := envFor(cfg, DenseOrbit(sats), defaultUplinkDivisor)
+			env := envFor(sc, cfg, DenseOrbit(sats), defaultUplinkDivisor)
 			spec := registry.Spec{
 				GammaBPP: fig12Gamma,
 				Theta:    theta,
@@ -178,7 +178,7 @@ func ConstellationSweep(sc Scale) (*ConstSweepResult, error) {
 func constDeterminismCheck(sc Scale, workers []int) (deterministic, contended bool, err error) {
 	run := func(w int) ([]sim.Record, map[int]int64, []sim.ContactRecord, bool, error) {
 		cfg := constConfig(sc)
-		env := envFor(cfg, DenseOrbit(16), defaultUplinkDivisor)
+		env := envFor(sc, cfg, DenseOrbit(16), defaultUplinkDivisor)
 		env.Parallelism = w
 		spec := registry.Spec{
 			GammaBPP: fig12Gamma,

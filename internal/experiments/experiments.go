@@ -7,6 +7,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 
 	"earthplus/internal/baseline"
@@ -39,6 +40,18 @@ type Scale struct {
 	// UplinkDivisors sweep the uplink budget for Fig 18 (budget =
 	// rawRefBytesPerDay / divisor).
 	UplinkDivisors []float64
+	// SimWorkers is Env.Parallelism for every experiment environment: how
+	// many locations each simulated day is sharded across (<= 0 means
+	// GOMAXPROCS, 1 forces the serial path). Results are identical at any
+	// setting; runs that compare worker counts set their own.
+	SimWorkers int
+	// EarthPlus holds explicit Earth+ system params (on-board storage,
+	// link faults, ground stations, codestream profile); only its Params
+	// and StrParams are read. They are laid over the Earth+ runs of the
+	// figure reproductions (Figs 11-19). The sweeps and ablations set
+	// their own params per point, except that the storage sweep takes the
+	// overlay's evict_policy. The zero value keeps the system defaults.
+	EarthPlus registry.Spec
 }
 
 // Tiny returns the smallest meaningful scale — used by unit tests.
@@ -145,123 +158,13 @@ func rawRefBytesPerDay(cfg scene.Config) int64 {
 // Earth+'s delta-encoded updates to keep references fully fresh.
 const defaultUplinkDivisor = 50
 
-// SimWorkers is the package default for Env.Parallelism in every
-// experiment environment: how many locations each simulated day is
-// sharded across (the codec.Parallelism convention — <= 0 means
-// GOMAXPROCS, 1 forces the serial path). Results are identical at any
-// setting; cmd/earthplus-bench exposes it as -simworkers.
-var SimWorkers int
-
-// StorageBytes and EvictPolicy are the package defaults for the bounded
-// on-board reference store in every Earth+ experiment run: 0 bytes /
-// empty string keep the system defaults (Table 1's 360 GB, lru), a
-// positive byte count bounds the store, a negative one makes it
-// explicitly unlimited. cmd/earthplus-bench exposes them as -storage and
-// -evictpolicy; the storage sweep sets its own budgets and only honours
-// EvictPolicy.
-var (
-	StorageBytes int64
-	EvictPolicy  string
-)
-
-// RefCompression is the package default for the on-board reference
-// representation in every Earth+ experiment run: true stores references
-// as codestreams encoded at the uplink's reference rate (real encoded
-// bytes charged against the storage budget, decode-on-visit), false
-// keeps raw planes.
-// cmd/earthplus-bench and cmd/earthplus-sim expose it as -refcompress;
-// the storage sweep always runs BOTH representations side by side and
-// ignores this default.
-var RefCompression bool
-
-// LinkLoss and LinkSeed are the package defaults for the fault-injected
-// ground↔satellite link in every Earth+ experiment run: LinkLoss 0 keeps
-// the perfect channel (the default runs stay byte-identical to it),
-// a rate in (0,1] spreads that aggregate loss over frame drops,
-// corruptions, truncations and contact cancellations, and LinkSeed picks
-// the deterministic fault pattern. cmd/earthplus-bench and
-// cmd/earthplus-sim expose them as -linkloss and -linkseed; the loss
-// sweep sets its own rates and ignores these defaults.
-var (
-	LinkLoss float64
-	LinkSeed uint64 = 1
-)
-
-// ConstellationStations and ConstellationContactBudget are the package
-// defaults for the contended ground-station model in every Earth+
-// experiment run: 0 stations keeps the flat per-day uplink budget (the
-// default runs stay byte-identical to it), a positive count books that
-// many stations — each serving one satellite per contact window — and the
-// contact budget caps each window's uplink bytes (0 = derived from the
-// flat per-day budget, negative = unlimited). cmd/earthplus-bench and
-// cmd/earthplus-sim expose them as -stations and -contactbudget; the
-// constellation sweep sets its own station counts and ignores these
-// defaults.
-var (
-	ConstellationStations      int
-	ConstellationContactBudget int64
-)
-
-// applyConstellationDefaults pushes the package ground-station knobs onto
-// a spec (untouched at 0 stations: presence of stations is meaningful).
-func applyConstellationDefaults(spec registry.Spec) registry.Spec {
-	if ConstellationStations != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["stations"] = float64(ConstellationStations)
-		if ConstellationContactBudget != 0 {
-			spec.Params["contact_budget"] = float64(ConstellationContactBudget)
-		}
-	}
-	return spec
-}
-
-// applyLinkDefaults pushes the package link-fault knobs onto a spec
-// (untouched at LinkLoss 0: presence of link_loss is meaningful).
-func applyLinkDefaults(spec registry.Spec) registry.Spec {
-	if LinkLoss != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["link_loss"] = LinkLoss
-		spec.Params["link_seed"] = float64(LinkSeed)
-	}
-	return spec
-}
-
-// applyStorageDefaults pushes the package storage knobs onto a spec
-// (leaving it untouched when both are unset, so default runs stay
-// byte-identical to the unbounded behavior).
-func applyStorageDefaults(spec registry.Spec) registry.Spec {
-	if StorageBytes != 0 {
-		if spec.Params == nil {
-			spec.Params = map[string]float64{}
-		}
-		spec.Params["storage_bytes"] = float64(StorageBytes)
-	}
-	if EvictPolicy != "" {
-		if spec.StrParams == nil {
-			spec.StrParams = map[string]string{}
-		}
-		spec.StrParams["evict_policy"] = EvictPolicy
-	}
-	if RefCompression {
-		if spec.StrParams == nil {
-			spec.StrParams = map[string]string{}
-		}
-		spec.StrParams["ref_compression"] = "on"
-	}
-	return spec
-}
-
 // envFor assembles a simulation environment.
-func envFor(cfg scene.Config, cons orbit.Constellation, uplinkDivisor float64) *sim.Env {
+func envFor(sc Scale, cfg scene.Config, cons orbit.Constellation, uplinkDivisor float64) *sim.Env {
 	env := &sim.Env{
 		Scene:       scene.New(cfg),
 		Orbit:       cons,
 		Downlink:    dovesDownlink(),
-		Parallelism: SimWorkers,
+		Parallelism: sc.SimWorkers,
 	}
 	if uplinkDivisor > 0 {
 		env.UplinkBytesPerDay = int64(float64(rawRefBytesPerDay(cfg)) / uplinkDivisor)
@@ -275,11 +178,21 @@ func profiledTheta(sc Scale, cfg scene.Config, downsample int) float64 {
 	return ProfileThetaOnScene(scene.New(cfg), 0, sc.ProfileStart, sc.ProfileStart+sc.ProfileDays, downsample, 0.02, core.DefaultConfig().Theta)
 }
 
+// earthPlusSpec is the Earth+ spec of a run at the profiled θ and a γ,
+// with the scale's explicit system params laid over it.
+func earthPlusSpec(sc Scale, theta, gamma float64) registry.Spec {
+	return registry.Spec{
+		GammaBPP:  gamma,
+		Theta:     theta,
+		Params:    maps.Clone(sc.EarthPlus.Params),
+		StrParams: maps.Clone(sc.EarthPlus.StrParams),
+	}
+}
+
 // earthPlus builds an Earth+ system through the system registry with the
 // profiled θ and a γ.
-func earthPlus(env *sim.Env, theta, gamma float64) (sim.System, error) {
-	return registry.New(core.SystemName, env,
-		applyConstellationDefaults(applyLinkDefaults(applyStorageDefaults(registry.Spec{GammaBPP: gamma, Theta: theta}))))
+func earthPlus(sc Scale, env *sim.Env, theta, gamma float64) (sim.System, error) {
+	return registry.New(core.SystemName, env, earthPlusSpec(sc, theta, gamma))
 }
 
 // runSystemStream runs one system over the scale's evaluation window,
@@ -314,7 +227,7 @@ func threeSystemsStream(sc Scale, mkEnv func() *sim.Env, theta, gamma float64, m
 		name string
 		mk   func(env *sim.Env) (sim.System, error)
 	}{
-		{"Earth+", func(env *sim.Env) (sim.System, error) { return earthPlus(env, theta, gamma) }},
+		{"Earth+", func(env *sim.Env) (sim.System, error) { return earthPlus(sc, env, theta, gamma) }},
 		{"Kodan", func(env *sim.Env) (sim.System, error) {
 			return registry.New(baseline.KodanName, env, registry.Spec{GammaBPP: gamma})
 		}},

@@ -92,13 +92,13 @@ func datasetEnv(sc Scale, ds Dataset) (func() *sim.Env, float64) {
 		cfg := scene.LargeConstellationSampled(sc.Size)
 		theta := profiledTheta(sc, cfg, 4)
 		return func() *sim.Env {
-			return envFor(cfg, planetOrbit(48), defaultUplinkDivisor)
+			return envFor(sc, cfg, planetOrbit(48), defaultUplinkDivisor)
 		}, theta
 	default:
 		cfg := richConfig(sc)
 		theta := profiledTheta(sc, cfg, 4)
 		return func() *sim.Env {
-			return envFor(cfg, richOrbit(), defaultUplinkDivisor)
+			return envFor(sc, cfg, richOrbit(), defaultUplinkDivisor)
 		}, theta
 	}
 }

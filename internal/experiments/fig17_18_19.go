@@ -47,8 +47,8 @@ func Fig17(sc Scale) (*Fig17Result, error) {
 	// Delta updates: measured uplink traffic per (location, day) from an
 	// Earth+ run with an unconstrained uplink.
 	theta := profiledTheta(sc, cfg, down)
-	env := envFor(cfg, richOrbit(), 0)
-	sys, err := earthPlus(env, theta, fig12Gamma)
+	env := envFor(sc, cfg, richOrbit(), 0)
+	sys, err := earthPlus(sc, env, theta, fig12Gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -118,8 +118,8 @@ func Fig18(sc Scale) (*Fig18Result, error) {
 	theta := profiledTheta(sc, cfg, 4)
 	res := &Fig18Result{}
 	for _, div := range sc.UplinkDivisors {
-		env := envFor(cfg, richOrbit(), div)
-		sys, err := earthPlus(env, theta, fig12Gamma)
+		env := envFor(sc, cfg, richOrbit(), div)
+		sys, err := earthPlus(sc, env, theta, fig12Gamma)
 		if err != nil {
 			return nil, err
 		}
@@ -175,8 +175,8 @@ func Fig19(sc Scale) (*Fig19Result, error) {
 	theta := profiledTheta(sc, cfg, 4)
 	res := &Fig19Result{}
 	for _, n := range sc.FleetSweep {
-		env := envFor(cfg, planetOrbit(n), defaultUplinkDivisor)
-		sys, err := earthPlus(env, theta, fig12Gamma)
+		env := envFor(sc, cfg, planetOrbit(n), defaultUplinkDivisor)
+		sys, err := earthPlus(sc, env, theta, fig12Gamma)
 		if err != nil {
 			return nil, err
 		}

@@ -82,7 +82,7 @@ func LossSweep(sc Scale) (*LossSweepResult, error) {
 
 	res := &LossSweepResult{Rates: lossSweepRates, Seed: lossSweepSeed}
 	for _, rate := range lossSweepRates {
-		env := envFor(cfg, lossOrbit(), defaultUplinkDivisor)
+		env := envFor(sc, cfg, lossOrbit(), defaultUplinkDivisor)
 		spec := registry.Spec{GammaBPP: fig12Gamma, Theta: theta}
 		if rate > 0 {
 			spec.Params = map[string]float64{
@@ -142,7 +142,7 @@ func LossSweep(sc Scale) (*LossSweepResult, error) {
 // location), so the worker count must not change them.
 func lossDeterminismCheck(sc Scale, workers []int, rate float64) (deterministic, faulted bool, err error) {
 	run := func(w int) ([]sim.Record, bool, error) {
-		env := envFor(richConfig(sc), lossOrbit(), defaultUplinkDivisor)
+		env := envFor(sc, richConfig(sc), lossOrbit(), defaultUplinkDivisor)
 		env.Parallelism = w
 		spec := registry.Spec{
 			GammaBPP: fig12Gamma,

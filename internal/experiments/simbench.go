@@ -243,7 +243,8 @@ const simBenchDays = 4
 // bit is as meaningful as ever) but the speedup figures are host
 // artifacts.
 func SimScaling() (*SimScalingResult, error) {
-	cfg := richConfig(QuickScale())
+	sc := QuickScale()
+	cfg := richConfig(sc)
 	const satellites = 8
 	res := &SimScalingResult{
 		GoVersion:    runtime.Version(),
@@ -255,7 +256,7 @@ func SimScaling() (*SimScalingResult, error) {
 	}
 
 	mkRun := func(workers int) (*sim.Env, sim.System, error) {
-		env := envFor(cfg, simBenchOrbit(satellites), defaultUplinkDivisor)
+		env := envFor(sc, cfg, simBenchOrbit(satellites), defaultUplinkDivisor)
 		env.Parallelism = workers
 		// Pin the codec to one thread so the measurement isolates the
 		// engine's location sharding from band-level parallelism.

@@ -169,7 +169,7 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 	satroiSet := satroiRefWorkingSet(cfg)
 	rawCaptureBytes := int64(cfg.Width) * int64(cfg.Height) * int64(len(cfg.Bands)) * 2
 
-	policy := EvictPolicy
+	policy := sc.EarthPlus.StrParams["evict_policy"]
 	if policy == "" {
 		policy = "lru"
 	}
@@ -350,7 +350,7 @@ func storageDeterminismCheck(sc Scale, workers []int, compress, tiled bool) (det
 		budget = workingSet / 4
 	}
 	run := func(w int) ([]sim.Record, bool, *RefDecodeCost, error) {
-		env := envFor(cfg, richOrbit(), defaultUplinkDivisor)
+		env := envFor(sc, cfg, richOrbit(), defaultUplinkDivisor)
 		env.Parallelism = w
 		spec := registry.Spec{
 			GammaBPP:  fig12Gamma,

@@ -54,7 +54,7 @@ func (s Spec) Normalize() Spec {
 		s.Codec.BaseStep = def.BaseStep
 	}
 	// BudgetBytes and Parallelism default to zero, which the codec
-	// already treats as "unbudgeted" / "package default".
+	// already treats as "unbudgeted" / GOMAXPROCS.
 	return s
 }
 

@@ -149,7 +149,7 @@ func TestCompressedDecodeLRUAmortisesRepeatVisits(t *testing.T) {
 
 // TestCompressedBoundedCacheInvariantsUnderChurn is the compressed twin
 // of TestBoundedCacheInvariantsUnderChurn: any interleaving of visits,
-// puts and tile updates keeps the cache within budget, reports exactly
+// puts and uplinked frames keeps the cache within budget, reports exactly
 // the entries that disappeared, and every surviving entry decodes equal
 // to an independently maintained storage-codec shadow.
 func TestCompressedBoundedCacheInvariantsUnderChurn(t *testing.T) {
@@ -192,11 +192,12 @@ func TestCompressedBoundedCacheInvariantsUnderChurn(t *testing.T) {
 			for b := range perBand {
 				perBand[b] = mask
 			}
-			evicted = cache.ApplyTileUpdate(loc, im.Clone(), perBand, round)
+			// The uplink route: the ground splices the update onto the
+			// store's DECODED content (a whole image re-seeds a missing
+			// entry), encodes the store frame and ships it for PutFrame.
+			spliced := im
 			if sh := shadow[loc]; sh != nil {
-				// The store splices onto its DECODED content, then passes
-				// the storage codec again; the shadow does the same.
-				spliced := sh.Clone()
+				spliced = sh.Clone()
 				for b := range perBand {
 					for tl, set := range mask.Set {
 						if set {
@@ -204,10 +205,13 @@ func TestCompressedBoundedCacheInvariantsUnderChurn(t *testing.T) {
 						}
 					}
 				}
-				shadow[loc] = storedImage(t, spliced)
-			} else {
-				shadow[loc] = storedImage(t, im)
 			}
+			frame, err := EncodeStoredRef(spliced, testStoreBPP, codec.DefaultOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			evicted = cache.PutFrame(loc, frame, spliced, round)
+			shadow[loc] = storedImage(t, spliced)
 		default:
 			got := cache.Visit(loc, round)
 			if (got == nil) != (shadow[loc] == nil) {

@@ -7,12 +7,6 @@ import (
 	"earthplus/internal/raster"
 )
 
-// Property: ApplyTileUpdate must behave exactly like tile-granular
-// splicing — after every update, masked tiles equal the update image,
-// unmasked tiles keep their previous content, and the reference day
-// advances. The test drives 24 rounds of pseudo-random updates against an
-// independently maintained shadow image.
-
 func propImage(src *noise.Source, stream int64, w, h int, bands []raster.BandInfo) *raster.Image {
 	im := raster.New(w, h, bands)
 	for b := range im.Pix {
@@ -24,69 +18,8 @@ func propImage(src *noise.Source, stream int64, w, h int, bands []raster.BandInf
 	return im
 }
 
-func TestApplyTileUpdateSplicesExactly(t *testing.T) {
-	const w, h, tile = 32, 32, 8
-	bands := raster.PlanetBands()
-	grid := raster.MustTileGrid(w, h, tile)
-	src := noise.New(424242)
-
-	cache := NewRefCache()
-	base := propImage(src, 1, w, h, bands)
-	cache.Put(3, base.Clone(), 0)
-	shadow := base.Clone()
-
-	for round := 1; round <= 24; round++ {
-		update := propImage(src, int64(round)+100, w, h, bands)
-		perBand := make([]*raster.TileMask, len(bands))
-		for b := range bands {
-			// Band masks vary independently; some rounds leave bands nil
-			// (no update for that band), matching PackUplink output.
-			if src.Uniform(int64(round)*7+int64(b), 0) < 0.2 {
-				continue
-			}
-			mask := raster.NewTileMask(grid)
-			for tl := 0; tl < grid.NumTiles(); tl++ {
-				mask.Set[tl] = src.Uniform(int64(round)*13+int64(b), int64(tl)) < 0.4
-			}
-			perBand[b] = mask
-		}
-		cache.ApplyTileUpdate(3, update, perBand, round)
-		for b, mask := range perBand {
-			if mask == nil {
-				continue
-			}
-			for tl, set := range mask.Set {
-				if set {
-					raster.CopyTile(shadow, update, b, grid, tl)
-				}
-			}
-		}
-		ref := cache.Get(3)
-		if ref == nil {
-			t.Fatal("reference vanished")
-		}
-		if ref.Day != round {
-			t.Fatalf("round %d: reference day %d", round, ref.Day)
-		}
-		if !ref.Image.Equal(shadow) {
-			t.Fatalf("round %d: cached reference diverged from tile-spliced shadow", round)
-		}
-	}
-
-	// A missing entry is created from the whole update, regardless of masks.
-	update := propImage(src, 999, w, h, bands)
-	empty := make([]*raster.TileMask, len(bands))
-	cache.ApplyTileUpdate(7, update, empty, 5)
-	if ref := cache.Get(7); ref == nil || ref.Day != 5 || !ref.Image.Equal(update) {
-		t.Fatal("missing-entry update did not install the full image")
-	}
-	if cache.Len() != 2 {
-		t.Fatalf("cache holds %d references, want 2", cache.Len())
-	}
-}
-
 // Property: under a storage budget, any interleaving of visits, puts and
-// tile updates leaves the cache (a) within budget, (b) reporting exactly
+// tile-spliced re-installs leaves the cache (a) within budget, (b) reporting exactly
 // the entries that disappeared as evicted, and (c) holding images equal to
 // an independently maintained shadow for every surviving location.
 func TestBoundedCacheInvariantsUnderChurn(t *testing.T) {
@@ -126,18 +59,22 @@ func TestBoundedCacheInvariantsUnderChurn(t *testing.T) {
 					for b := range perBand {
 						perBand[b] = mask
 					}
-					evicted = cache.ApplyTileUpdate(loc, im, perBand, round)
+					// The uplink route: the ground splices the update onto its
+					// mirror of the entry (a whole image re-seeds a missing
+					// one) and the satellite installs the result with Put.
+					spliced := im
 					if sh := shadow[loc]; sh != nil {
+						spliced = sh.Clone()
 						for b := range perBand {
 							for tl, set := range mask.Set {
 								if set {
-									raster.CopyTile(sh, im, b, grid, tl)
+									raster.CopyTile(spliced, im, b, grid, tl)
 								}
 							}
 						}
-					} else {
-						shadow[loc] = im.Clone()
 					}
+					evicted = cache.Put(loc, spliced.Clone(), round)
+					shadow[loc] = spliced
 				default:
 					got := cache.Visit(loc, round)
 					if (got == nil) != (shadow[loc] == nil) {

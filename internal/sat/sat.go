@@ -82,11 +82,10 @@ type CacheConfig struct {
 	// count (RawBitsPerSample/StoreBPP smaller, so the same budget holds
 	// ~2-5x more locations), and Visit decodes lazily, with a small
 	// decoded-plane LRU so repeat visits within a contact don't re-pay
-	// the decode. Put/ApplyTileUpdate take the PRE-storage-codec image
-	// and apply the codec themselves (EncodeStoredRef); the ground's
-	// mirror must model the same transform (station.Config.CompressRefs)
-	// or delta uplinks would be encoded against content the satellite
-	// never held.
+	// the decode. Put takes the PRE-storage-codec image and applies the
+	// codec itself (EncodeStoredRef); the ground's mirror must model the
+	// same transform (station.Config.CompressRefs) or delta uplinks would
+	// be encoded against content the satellite never held.
 	Compress bool
 	// StoreBPP is the storage codec rate of a compressed cache, in bits
 	// per pixel per band. Required (> 0) when Compress is set; Earth+
@@ -102,13 +101,6 @@ type CacheConfig struct {
 	// and never affects simulation results: decoding is pure, so a cold
 	// decode returns the same bytes a cached plane would.
 	DecodedCap int
-	// DecodedTileCap, when positive, bounds the decode-on-visit LRU by
-	// the total number of 64px-granularity codec tiles resident instead
-	// of by entry count: footprint accounting at tile granularity, so a
-	// small reference no longer costs the same LRU slot as a huge one.
-	// Zero keeps DecodedCap's whole-entry accounting. Like DecodedCap it
-	// is purely advisory — it changes decode work, never results.
-	DecodedTileCap int
 }
 
 // EffectiveBitsPerSample resolves the per-sample rate a-priori estimates
@@ -213,11 +205,11 @@ type SpliceStats struct {
 // the base content of those tiles is region-decoded from the old frame
 // (only the touched tiles are decoded), the update's masked tiles are
 // overlaid, and every untouched tile's payload bytes are reused verbatim.
-// Like EncodeStoredRef it is ONE function shared by sat.RefCache and the
-// ground's mirror simulation, so both sides derive byte-identical new
-// frames from (old frame, update, masks) — the coherence invariant of the
-// delta uplink, now at tile granularity. bpp and opts must be the store's
-// rate parameters (CacheConfig.StoreBPP / CacheConfig.Codec).
+// The ground's mirror simulation splices with it and ships the result for
+// the store to install verbatim (RefCache.PutFrame), so both sides hold
+// byte-identical frames — the coherence invariant of the delta uplink, at
+// tile granularity. bpp and opts must be the store's rate parameters
+// (CacheConfig.StoreBPP / CacheConfig.Codec).
 func SpliceStoredRef(frame container.Codestream, w, h int, bands []raster.BandInfo,
 	update *raster.Image, perBand []*raster.TileMask, bpp float64, opts codec.Options) (container.Codestream, SpliceStats, error) {
 	var stats SpliceStats
@@ -418,7 +410,7 @@ type compRef struct {
 // records recency per location as the capture day — concurrent visits to
 // distinct locations write distinct entries, so the sharded engine reaches
 // the same cache state at any worker count — and every mutation that can
-// evict (Put, ApplyTileUpdate) happens on the engine's serial phases
+// evict (Put, PutFrame) happens on the engine's serial phases
 // (bootstrap, day-end barrier).
 //
 // The cache is safe for concurrent use on DISTINCT locations: the sharded
@@ -436,7 +428,7 @@ type RefCache struct {
 	meta   map[int]*refMeta
 	// used is the accounted footprint of every entry, in bytes.
 	used int64
-	// lastDay is the latest day observed via Visit/Put/ApplyTileUpdate;
+	// lastDay is the latest day observed via Visit/Put/PutFrame;
 	// PolicySchedule predicts next visits relative to it.
 	lastDay int
 	// evictions and misses count capacity evictions and Visit misses.
@@ -450,23 +442,12 @@ type RefCache struct {
 	// worker count.
 	dec      map[int]*LowResRef
 	decOrder []int
-	// decTiles charges each resident decoded entry its tile footprint
-	// (64px-granularity codec tiles); decTilesUsed is their sum, the
-	// quantity DecodedTileCap bounds.
-	decTiles     map[int]int
-	decTilesUsed int
 	// decodes and decodeHits count frame decodes and LRU-served lookups;
 	// decodeNanos accumulates the wall-clock spent inside those decodes,
 	// so the decode-on-visit cost of a compressed store is measurable,
 	// not just countable.
 	decodes, decodeHits int64
 	decodeNanos         int64
-	// tilesDecoded counts the codec tiles actually decoded by tile-
-	// granular operations (region visits, per-tile splices); tilesTotal
-	// the tiles the same operations would have decoded at whole-frame
-	// granularity. Their ratio is the tiled profile's measured
-	// decode-on-visit saving. Advisory, like the decode counters.
-	tilesDecoded, tilesTotal int64
 }
 
 // NewRefCache returns an empty, unbounded cache.
@@ -489,7 +470,6 @@ func NewBoundedRefCache(cfg CacheConfig) (*RefCache, error) {
 	if cfg.Compress {
 		c.frames = make(map[int]*compRef)
 		c.dec = make(map[int]*LowResRef)
-		c.decTiles = make(map[int]int)
 	} else {
 		c.refs = make(map[int]*LowResRef)
 	}
@@ -535,21 +515,8 @@ func (c *RefCache) decodeEntryLocked(loc int) *LowResRef {
 	return lr
 }
 
-// decTileWeight is the tile-granular footprint of one decoded reference:
-// the number of codec tiles (at the store's tile size, per band sample
-// geometry) a full decode keeps resident.
-func (c *RefCache) decTileWeight(im *raster.Image) int {
-	tile := c.cfg.Codec.TileSize
-	if tile <= 0 {
-		tile = raster.DefaultTileSize
-	}
-	return raster.TileSpan(im.Width, tile) * raster.TileSpan(im.Height, tile)
-}
-
 // insertDecodedLocked installs a decoded reference into the LRU, evicting
-// oldest decoded planes beyond the cap — counted in whole entries
-// (DecodedCap) or, when DecodedTileCap is set, in resident codec tiles.
-// The newest entry always stays, even when it alone exceeds the tile cap.
+// the oldest decoded planes beyond DecodedCap entries.
 func (c *RefCache) insertDecodedLocked(loc int, lr *LowResRef) {
 	if _, ok := c.dec[loc]; ok {
 		c.touchDecodedLocked(loc)
@@ -557,15 +524,6 @@ func (c *RefCache) insertDecodedLocked(loc int, lr *LowResRef) {
 		c.decOrder = append(c.decOrder, loc)
 	}
 	c.dec[loc] = lr
-	w := c.decTileWeight(lr.Image)
-	c.decTilesUsed += w - c.decTiles[loc]
-	c.decTiles[loc] = w
-	if c.cfg.DecodedTileCap > 0 {
-		for c.decTilesUsed > c.cfg.DecodedTileCap && len(c.decOrder) > 1 {
-			c.dropDecodedLocked(c.decOrder[0])
-		}
-		return
-	}
 	for len(c.decOrder) > c.cfg.DecodedCap {
 		c.dropDecodedLocked(c.decOrder[0])
 	}
@@ -581,15 +539,12 @@ func (c *RefCache) touchDecodedLocked(loc int) {
 	}
 }
 
-// dropDecodedLocked removes loc's decoded plane, if cached, returning its
-// tile footprint to the accounting.
+// dropDecodedLocked removes loc's decoded plane, if cached.
 func (c *RefCache) dropDecodedLocked(loc int) {
 	if _, ok := c.dec[loc]; !ok {
 		return
 	}
 	delete(c.dec, loc)
-	c.decTilesUsed -= c.decTiles[loc]
-	delete(c.decTiles, loc)
 	for i, l := range c.decOrder {
 		if l == loc {
 			c.decOrder = append(c.decOrder[:i], c.decOrder[i+1:]...)
@@ -660,116 +615,6 @@ func (c *RefCache) Visit(loc, day int) *LowResRef {
 	return ref
 }
 
-// VisitRegion is Visit for a rectangular region of interest: it returns
-// the cached reference content covering the pixel rectangle [x,y)+(w,h)
-// (clipped to the reference bounds), recording visit recency exactly like
-// Visit. A (nil, nil) return is a cache MISS. On a compressed TILED store
-// this is the tile-granular decode path: only the codec tiles the
-// rectangle touches are entropy-decoded — the saving TileStats measures —
-// and nothing enters the decoded-plane LRU (a partial plane must not
-// serve a later full visit). A monolithic frame falls back to the full
-// decode-through-LRU path plus a crop, and a raw store just crops. A
-// rectangle that misses the reference entirely (or is empty) is an error.
-func (c *RefCache) VisitRegion(loc, day, x, y, w, h int) (*LowResRef, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	if !c.cfg.Compress {
-		ref := c.refs[loc]
-		if ref == nil {
-			c.misses++
-			return nil, nil
-		}
-		if m := c.meta[loc]; day > m.lastVisit {
-			m.lastVisit = day
-		}
-		img, err := cropImage(ref.Image, x, y, w, h)
-		if err != nil {
-			return nil, err
-		}
-		return &LowResRef{Image: img, Day: ref.Day}, nil
-	}
-	e := c.frames[loc]
-	if e == nil {
-		c.misses++
-		return nil, nil
-	}
-	if m := c.meta[loc]; day > m.lastVisit {
-		m.lastVisit = day
-	}
-	// A resident full decode makes the crop free — and a monolithic frame
-	// cannot decode partially anyway, so it goes through the same LRU path
-	// a full visit would.
-	if c.dec[loc] == nil && e.frame.Tiled() {
-		return c.visitRegionTiledLocked(e, x, y, w, h)
-	}
-	lr := c.decodeEntryLocked(loc)
-	img, err := cropImage(lr.Image, x, y, w, h)
-	if err != nil {
-		return nil, err
-	}
-	return &LowResRef{Image: img, Day: lr.Day}, nil
-}
-
-// visitRegionTiledLocked decodes only the codec tiles of e's frame that
-// the rectangle touches, per band, and assembles the cropped reference.
-func (c *RefCache) visitRegionTiledLocked(e *compRef, x, y, w, h int) (*LowResRef, error) {
-	streams, err := e.frame.SplitNoCRC()
-	if err != nil {
-		return nil, fmt.Errorf("sat: stored reference frame: %w", err)
-	}
-	if len(streams) != len(e.bands) {
-		return nil, fmt.Errorf("sat: stored reference frame carries %d bands, want %d", len(streams), len(e.bands))
-	}
-	t0 := time.Now() //lint:deterministic wall time feeds the cache's DecodeStats only, excluded by EqualIgnoringTimings
-	var out *raster.Image
-	for b, data := range streams {
-		plane, cw, ch, err := codec.DecodeRegion(data, x, y, w, h)
-		if err != nil {
-			return nil, fmt.Errorf("sat: region-decoding stored reference band %d: %w", b, err)
-		}
-		if out == nil {
-			out = raster.New(cw, ch, e.bands)
-		}
-		copy(out.Plane(b), plane)
-		touched, total, err := codec.RegionTiles(data, x, y, w, h)
-		if err != nil {
-			return nil, fmt.Errorf("sat: band %d: %w", b, err)
-		}
-		c.tilesDecoded += int64(touched)
-		c.tilesTotal += int64(total)
-	}
-	out.Clamp()
-	c.decodeNanos += time.Since(t0).Nanoseconds() //lint:deterministic wall time feeds the cache's DecodeStats only, excluded by EqualIgnoringTimings
-	c.decodes++
-	return &LowResRef{Image: out, Day: e.day}, nil
-}
-
-// cropImage copies the pixel rectangle [x,y)+(w,h) of im, clipped to the
-// image bounds, into a fresh image — the raw-store (and LRU-resident)
-// analogue of a tiled region decode. A rectangle that misses the image
-// entirely is an error, mirroring codec.DecodeRegion.
-func cropImage(im *raster.Image, x, y, w, h int) (*raster.Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("sat: empty region %dx%d", w, h)
-	}
-	x0, y0 := max(x, 0), max(y, 0)
-	x1, y1 := min(x+w, im.Width), min(y+h, im.Height)
-	if x0 >= x1 || y0 >= y1 {
-		return nil, fmt.Errorf("sat: region (%d,%d)+(%d,%d) outside the %dx%d reference", x, y, w, h, im.Width, im.Height)
-	}
-	out := raster.New(x1-x0, y1-y0, im.Bands)
-	for b := 0; b < im.NumBands(); b++ {
-		src, dst := im.Plane(b), out.Plane(b)
-		for yy := y0; yy < y1; yy++ {
-			copy(dst[(yy-y0)*(x1-x0):(yy-y0+1)*(x1-x0)], src[yy*im.Width+x0:yy*im.Width+x1])
-		}
-	}
-	return out, nil
-}
-
 // Put replaces the reference for loc (the image is not copied) and returns
 // the locations evicted to fit it under the storage budget (nil when
 // nothing was evicted). The caller owns ground-mirror bookkeeping for the
@@ -812,102 +657,6 @@ func (c *RefCache) PutFrame(loc int, frame container.Codestream, decoded *raster
 	}
 	c.dropDecodedLocked(loc) // any cached decode of the old frame is stale
 	c.accountLocked(loc, int64(len(frame)))
-	return c.evictLocked(loc)
-}
-
-// ApplyTileUpdate copies the marked low-resolution tiles of update into
-// the cached reference for loc and advances its day. A missing cache entry
-// is created from the update itself (the ground ships whole-image updates
-// to re-seed evicted references). Like Put, it returns any locations
-// evicted to keep the footprint under budget: splicing raw planes in place
-// never changes the footprint, but a compressed entry is re-encoded after
-// the splice and its new frame may be larger. A compressed cache quantises
-// update in place, like Put.
-func (c *RefCache) ApplyTileUpdate(loc int, update *raster.Image, perBand []*raster.TileMask, day int) []int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.cfg.Compress {
-		return c.applyTileUpdateCompressedLocked(loc, update, perBand, day)
-	}
-	ref := c.refs[loc]
-	if ref == nil {
-		c.installLocked(loc, &LowResRef{Image: update.Clone(), Day: day}, day)
-		return c.evictLocked(loc)
-	}
-	for b, mask := range perBand {
-		if mask == nil {
-			continue
-		}
-		for t, set := range mask.Set {
-			if set {
-				raster.CopyTile(ref.Image, update, b, mask.Grid, t)
-			}
-		}
-	}
-	ref.Day = day
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	// A spliced update is an install for recency purposes too: the uplink
-	// just spent bytes refreshing this reference, so it must not linger as
-	// the LRU victim stamped with its last pre-update visit.
-	if m := c.meta[loc]; c.lastDay > m.lastVisit {
-		m.lastVisit = c.lastDay
-	}
-	return nil // splicing raw planes in place never grows the footprint
-}
-
-// applyTileUpdateCompressedLocked is ApplyTileUpdate for a compressed
-// store: decode the current frame, splice the update tiles, re-encode
-// through the storage codec, and re-account the entry at its new encoded
-// size — which can shrink or grow, so the eviction check runs like an
-// install's. The spliced raw plane is dropped from the decode LRU: the
-// entry's content is decode(frame), one storage-codec generation past the
-// splice input, exactly as the ground's mirror simulation models it.
-//
-// A TILED store takes the per-tile fast path instead: SpliceStoredRef
-// region-decodes and re-encodes only the codec tiles a changed mask tile
-// touches and carries every other tile's payload bytes over verbatim —
-// no whole-frame decode, no whole-frame re-encode, and no generation
-// loss on untouched tiles. The ground's mirror simulation splices its
-// frame through the same function, so both sides stay byte-coherent.
-func (c *RefCache) applyTileUpdateCompressedLocked(loc int, update *raster.Image, perBand []*raster.TileMask, day int) []int {
-	e := c.frames[loc]
-	if e == nil {
-		c.installLocked(loc, &LowResRef{Image: update, Day: day}, day)
-		return c.evictLocked(loc)
-	}
-	if e.frame.Tiled() {
-		frame, st, err := SpliceStoredRef(e.frame, e.w, e.h, e.bands, update, perBand, c.cfg.StoreBPP, c.cfg.Codec)
-		if err != nil {
-			panic(fmt.Sprintf("sat: loc %d: %v", loc, err))
-		}
-		e.frame = frame
-		c.decodeNanos += st.DecodeNanos
-		c.tilesDecoded += st.TilesReencoded
-		c.tilesTotal += st.TilesTotal
-	} else {
-		base := c.decodeEntryLocked(loc).Image
-		for b, mask := range perBand {
-			if mask == nil {
-				continue
-			}
-			for t, set := range mask.Set {
-				if set {
-					raster.CopyTile(base, update, b, mask.Grid, t)
-				}
-			}
-		}
-		e.frame = c.encodeFrame(base)
-	}
-	e.day = day
-	if day > c.lastDay {
-		c.lastDay = day
-	}
-	// base (now spliced, pre-codec) must not serve future visits: the
-	// entry's content is the re-encoded frame's decode.
-	c.dropDecodedLocked(loc)
-	c.accountLocked(loc, int64(len(e.frame)))
 	return c.evictLocked(loc)
 }
 
@@ -1066,19 +815,6 @@ func (c *RefCache) DecodeStats() (decodes, lruHits int64) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.decodes, c.decodeHits
-}
-
-// TileStats reports the tile-granular decode accounting of a tiled
-// compressed store: decoded is the number of codec tiles tile-granular
-// operations (VisitRegion, per-tile splices) actually entropy-decoded,
-// total the tiles the same operations would have decoded at whole-frame
-// granularity. total-decoded is the measured decode-on-visit saving of
-// the tiled profile. Advisory, like DecodeStats; zero on raw stores and
-// monolithic frames.
-func (c *RefCache) TileStats() (decoded, total int64) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.tilesDecoded, c.tilesTotal
 }
 
 // DecodeWall reports the cumulative wall-clock spent decoding stored

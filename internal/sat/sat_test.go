@@ -191,19 +191,21 @@ func TestBoundedCacheOversizeInsertKeepsOthers(t *testing.T) {
 	}
 }
 
-// TestApplyTileUpdateRefreshesRecency pins that an uplink splice counts as
-// a visit for LRU purposes: the freshly refreshed entry must not stay the
-// eviction victim.
-func TestApplyTileUpdateRefreshesRecency(t *testing.T) {
+// TestReinstallRefreshesRecency pins that an uplink install counts as a
+// visit for LRU purposes: a re-installed entry is stamped with the cache's
+// current day, not its older content day, so the freshly refreshed entry
+// must not stay the eviction victim.
+func TestReinstallRefreshesRecency(t *testing.T) {
 	c := boundedCache(t, 1024, PolicyLRU, nil)
 	c.Put(0, ref8(t), 1)
 	c.Put(1, ref8(t), 2)
 	c.Visit(1, 3)
-	// Splice an update into loc 0 on day 10: it is now the most recently
-	// refreshed entry, so the next overflow must evict loc 1 instead.
-	c.ApplyTileUpdate(0, ref8(t), make([]*raster.TileMask, 4), 10)
-	if ev := c.Put(2, ref8(t), 11); len(ev) != 1 || ev[0] != 1 {
-		t.Fatalf("evicted %v, want [1] (loc 0 was refreshed on day 10)", ev)
+	c.Visit(5, 4) // a miss still advances the cache's day
+	// Re-install loc 0 with content captured on day 1: it is now the most
+	// recently refreshed entry, so the next overflow must evict loc 1.
+	c.Put(0, ref8(t), 1)
+	if ev := c.Put(2, ref8(t), 5); len(ev) != 1 || ev[0] != 1 {
+		t.Fatalf("evicted %v, want [1] (loc 0 was re-installed on day 4)", ev)
 	}
 }
 
@@ -213,31 +215,6 @@ func TestBoundedCacheRejectsUnknownPolicy(t *testing.T) {
 	}
 	if _, err := NewBoundedRefCache(CacheConfig{Policy: PolicySchedule}); err == nil {
 		t.Fatal("schedule policy without NextVisit accepted")
-	}
-}
-
-func TestRefCacheApplyTileUpdate(t *testing.T) {
-	c := NewRefCache()
-	g := raster.MustTileGrid(8, 8, 4)
-	base := raster.New(8, 8, raster.PlanetBands())
-	c.Put(0, base, 5)
-	update := raster.New(8, 8, raster.PlanetBands())
-	update.Fill(0, 1)
-	masks := make([]*raster.TileMask, 4)
-	masks[0] = raster.NewTileMask(g)
-	masks[0].Set[0] = true
-	c.ApplyTileUpdate(0, update, masks, 9)
-	ref := c.Get(0)
-	if ref.Day != 9 {
-		t.Fatalf("day = %d", ref.Day)
-	}
-	if ref.Image.At(0, 0, 0) != 1 || ref.Image.At(0, 7, 7) != 0 {
-		t.Fatal("tile update applied wrong region")
-	}
-	// Update to an empty slot installs the image as-is.
-	c.ApplyTileUpdate(1, update, masks, 3)
-	if c.Get(1) == nil || c.Get(1).Day != 3 {
-		t.Fatal("update to empty slot not installed")
 	}
 }
 

@@ -34,7 +34,7 @@ import (
 )
 
 // Workers resolves a requested simulation parallelism against n location
-// shards, following the codec.Parallelism convention: values <= 0 mean
+// shards, following the codec.Options.Parallelism convention: values <= 0 mean
 // GOMAXPROCS, and the pool never exceeds the shard count.
 func Workers(requested, n int) int {
 	p := requested

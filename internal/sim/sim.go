@@ -27,7 +27,7 @@ type Env struct {
 	// is scaled down to the modeled location count.
 	UplinkBytesPerDay int64
 	// Parallelism bounds how many locations are simulated concurrently
-	// within one day (the codec.Parallelism convention: <= 0 means
+	// within one day (the codec.Options.Parallelism convention: <= 0 means
 	// GOMAXPROCS, 1 forces the serial path). Each location's visit
 	// sequence stays ordered and records merge back into serial order, so
 	// results are identical at any setting; see engine.go. When the pool

@@ -133,9 +133,8 @@ func TestPackUplinkReseedsDrainFirst(t *testing.T) {
 // TestCompressedReseedCycleCoherent drives the full miss→re-seed→hit
 // cycle of a COMPRESSED on-board store against the ground's mirror
 // bookkeeping: a 2-entry budget over 3 locations thrashes continuously,
-// updates install either by routing the shipped storage frame
-// (PutFrame) or by tile-splicing + re-encode (ApplyTileUpdate), and after
-// every cycle each mirrored location's store entry must DECODE
+// updates install by routing the shipped storage frame (PutFrame), and
+// after every cycle each mirrored location's store entry must DECODE
 // byte-identical to the ground's mirror — the acceptance property of
 // compressed re-seeding.
 func TestCompressedReseedCycleCoherent(t *testing.T) {
@@ -208,7 +207,7 @@ func TestCompressedReseedCycleCoherent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, u := range updates {
+		for _, u := range updates {
 			if u.StoreFrame == nil {
 				t.Fatalf("day %d loc %d: compressed ground shipped no storage frame", day, u.Loc)
 			}
@@ -221,13 +220,7 @@ func TestCompressedReseedCycleCoherent(t *testing.T) {
 					}
 				}
 			}
-			// Exercise both install paths: frame routing and the splice +
-			// re-encode path must land in identical store states.
-			if i%2 == 0 {
-				invalidate(cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day))
-			} else {
-				invalidate(cache.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day))
-			}
+			invalidate(cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day))
 		}
 		for loc := 0; loc < numLocs; loc++ {
 			mirror := g.MirrorImage(satID, loc)

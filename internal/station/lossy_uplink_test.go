@@ -124,7 +124,7 @@ func TestSingleFaultedUpdateKeepsCoherence(t *testing.T) {
 					if tc.compress {
 						cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
 					} else {
-						cache.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
+						cache.Put(u.Loc, u.Decoded, u.Day)
 					}
 					g.AckDelivery(satID, u.Loc)
 					if g.RetryCount(satID, u.Loc) != 0 {

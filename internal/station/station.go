@@ -430,10 +430,9 @@ func (g *Ground) PackUplink(sat, day int, locs []int, budget *link.Meter) ([]Ref
 			// will reproduce on the next visit. The frame rides along so
 			// the store installs it without re-encoding. A TILED mirror
 			// with a retained frame splices instead: only the codec tiles
-			// a changed mask tile touches are re-encoded (the same
-			// sat.SpliceStoredRef transform the on-board store applies),
-			// so untouched tiles keep their exact payload bytes and skip
-			// a storage-codec generation.
+			// a changed mask tile touches are re-encoded
+			// (sat.SpliceStoredRef), so untouched tiles keep their exact
+			// payload bytes and skip a storage-codec generation.
 			var frame container.Codestream
 			var stored *raster.Image
 			if prev := mirror[loc]; prev != nil && prev.frame != nil && prev.frame.Tiled() {

@@ -100,9 +100,8 @@ func tiledApplyFull(t *testing.T, g *Ground, loc, day int, im *raster.Image) {
 
 // TestTiledCompressedUplinkCoherent drives the compressed re-seed cycle
 // with the TILED storage profile: delta updates splice the mirror frame
-// per-tile (sat.SpliceStoredRef) on the ground and on board, and both
-// install routes — routing the shipped spliced frame (PutFrame) and
-// splicing locally (ApplyTileUpdate) — must leave the store decoding
+// per-tile (sat.SpliceStoredRef) on the ground, and installing the
+// shipped spliced frame (PutFrame) must leave the store decoding
 // byte-identical to the ground's mirror after every cycle. It also pins
 // that the splice really is per-tile: the ground re-encodes strictly
 // fewer codec tiles than whole-frame re-encoding would.
@@ -140,15 +139,11 @@ func TestTiledCompressedUplinkCoherent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, u := range packed {
+		for _, u := range packed {
 			if u.StoreFrame == nil || !u.StoreFrame.Tiled() {
 				t.Fatalf("day %d loc %d: tiled ground shipped a non-tiled storage frame", day, u.Loc)
 			}
-			if i%2 == 0 {
-				cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
-			} else {
-				cache.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
-			}
+			cache.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
 			updates++
 		}
 		for loc := 0; loc < numLocs; loc++ {
@@ -171,52 +166,5 @@ func TestTiledCompressedUplinkCoherent(t *testing.T) {
 	}
 	if re >= total {
 		t.Fatalf("splice re-encoded %d of %d tiles; per-tile splice saved nothing", re, total)
-	}
-	if d, tt := cache.TileStats(); tt > 0 && d >= tt {
-		t.Fatalf("store splice re-encoded %d of %d tiles; per-tile splice saved nothing", d, tt)
-	}
-}
-
-// TestTiledSpliceMatchesWholeReencodePath pins the route equivalence
-// directly: after the same deltas, a store that spliced locally and a
-// store that installed the ground's shipped frame hold references that
-// decode identically — SpliceStoredRef is one shared function, so the
-// mirrors cannot drift between the two install routes.
-func TestTiledSpliceMatchesWholeReencodePath(t *testing.T) {
-	const satID = 0
-	g := testGroundTiled(t, 1)
-	grid := raster.MustTileGrid(tiledTestW, tiledTestH, tiledTestTile)
-	src := noise.New(2761)
-
-	full := tiledTestImage(77)
-	if err := g.SeedBootstrap(0, 0, full, []int{satID}); err != nil {
-		t.Fatal(err)
-	}
-	low, err := full.Downsample(tiledTestDown)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaFrame := tiledTestCache(t, 0)
-	viaSplice := tiledTestCache(t, 0)
-	viaFrame.Put(0, low.Clone(), 0)
-	viaSplice.Put(0, low.Clone(), 0)
-
-	for day := 1; day <= 3; day++ {
-		full = mutateTiles(src, day, full, grid, 2)
-		tiledApplyFull(t, g, 0, day, full)
-		packed, err := g.PackUplink(satID, day, []int{0}, link.NewMeter(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(packed) != 1 {
-			t.Fatalf("day %d: packed %d updates, want 1", day, len(packed))
-		}
-		u := packed[0]
-		viaFrame.PutFrame(u.Loc, u.StoreFrame, u.Decoded, u.Day)
-		viaSplice.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
-		a, b := viaFrame.Get(0), viaSplice.Get(0)
-		if a == nil || b == nil || !a.Image.Equal(b.Image) {
-			t.Fatalf("day %d: PutFrame and ApplyTileUpdate routes diverged", day)
-		}
 	}
 }

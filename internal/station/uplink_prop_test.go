@@ -115,7 +115,7 @@ func TestPackUplinkBudgetAndMirrorReproduction(t *testing.T) {
 				t.Fatalf("day %d sat %d: uplink budget exceeded: %d > %d", day, s, shipped, budget)
 			}
 			for _, u := range updates {
-				caches[s].ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
+				caches[s].Put(u.Loc, u.Decoded, u.Day)
 				ref := caches[s].Get(u.Loc)
 				mirror := g.MirrorImage(s, u.Loc)
 				if mirror == nil {
@@ -219,7 +219,7 @@ func TestEvictionKeepsGroundMirrorCoherent(t *testing.T) {
 					}
 				}
 			}
-			evicted := cache.ApplyTileUpdate(u.Loc, u.Decoded, u.PerBand, u.Day)
+			evicted := cache.Put(u.Loc, u.Decoded, u.Day)
 			invalidate(evicted)
 			evictionsSeen += len(evicted)
 			for _, ev := range evicted {

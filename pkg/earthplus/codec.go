@@ -45,11 +45,6 @@ func DecodePlaneLossless(data []byte) ([]float32, int, int, error) {
 // description.
 func ParseCodestream(data []byte) (CodecInfo, error) { return codec.Parse(data) }
 
-// SetCodecParallelism sets the package-wide default for the number of
-// bands encoded or decoded concurrently (<= 0 means GOMAXPROCS).
-// Per-call control is CodecOptions.Parallelism.
-func SetCodecParallelism(n int) { codec.Parallelism = n }
-
 // Quantize16 returns the 16-bit sample a [0,1] value maps to in lossless
 // mode; equality of Quantize16 values is the lossless guarantee.
 func Quantize16(v float32) uint16 { return codec.Quantize16(v) }

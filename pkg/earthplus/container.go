@@ -60,7 +60,7 @@ type EncodeOptions struct {
 	// Levels is the DWT decomposition depth (0 = the default 5).
 	Levels int
 	// Parallelism bounds the bands coded concurrently per image (0 =
-	// the codec package default).
+	// GOMAXPROCS).
 	Parallelism int
 }
 

@@ -3,7 +3,10 @@ package earthplus
 import "earthplus/internal/experiments"
 
 // Scale sizes an experiment run: scene size, profiling and evaluation
-// windows, and the sweep points.
+// windows, and the sweep points. It also carries the run's explicit
+// configuration: SimWorkers (Env.Parallelism of every experiment
+// environment) and EarthPlus, a SystemSpec whose Params and StrParams are
+// laid over the Earth+ runs of the figure reproductions.
 type Scale = experiments.Scale
 
 // ExperimentResult is one regenerated table or figure.
@@ -24,29 +27,4 @@ func FullScale() Scale { return experiments.FullScale() }
 // the codec and sim performance snapshots write (empty = don't write).
 func Experiments(sc Scale, benchJSON, simBenchJSON string) []ExperimentJob {
 	return experiments.Catalog(sc, benchJSON, simBenchJSON)
-}
-
-// experimentsSimWorkers backs SetSimWorkers (declared next to the other
-// simulation knobs in sim.go).
-func experimentsSimWorkers(n int) { experiments.SimWorkers = n }
-
-// experimentsStorageModel backs SetStorageModel.
-func experimentsStorageModel(budgetBytes int64, policy string) {
-	experiments.StorageBytes = budgetBytes
-	experiments.EvictPolicy = policy
-}
-
-// experimentsRefCompression backs SetRefCompression.
-func experimentsRefCompression(on bool) { experiments.RefCompression = on }
-
-// experimentsLinkFaults backs SetLinkFaults.
-func experimentsLinkFaults(loss float64, seed uint64) {
-	experiments.LinkLoss = loss
-	experiments.LinkSeed = seed
-}
-
-// experimentsConstellation backs SetConstellation.
-func experimentsConstellation(stations int, contactBudgetBytes int64) {
-	experiments.ConstellationStations = stations
-	experiments.ConstellationContactBudget = contactBudgetBytes
 }

@@ -27,13 +27,24 @@ const (
 // system-specific knobs by name under Params (for Earth+:
 // "guarantee_days", "guarantee_max_cloud", "reject_cloud_frac",
 // "ref_downsample", "lookahead_days", "drop_coverage", "ref_bpp",
-// "storage_bytes") and StrParams (for Earth+ and SatRoI:
-// "evict_policy" = "lru" | "schedule"). "storage_bytes" bounds the
-// on-board reference store (explicit non-positive = unlimited; absent =
-// the Table 1 default of 360 GB); SatRoI shares both storage knobs so
-// the storage sweep bounds its full-resolution store the same way.
-// The zero value means the system's defaults; unknown Params or
-// StrParams keys are a CodeBadConfig error.
+// "storage_bytes", "link_loss", "link_seed", "stations",
+// "contact_budget") and StrParams (for Earth+ and SatRoI:
+// "evict_policy" = "lru" | "schedule"; for Earth+ also
+// "ref_compression", "tiled_store" and "constellation" = "on" | "off").
+// "storage_bytes" bounds the on-board reference store (explicit
+// non-positive = unlimited; absent = the Table 1 default of 360 GB);
+// SatRoI shares both storage knobs so the storage sweep bounds its
+// full-resolution store the same way. "link_loss" in [0,1] spreads a
+// deterministic fault rate, seeded by "link_seed", over the
+// ground↔satellite link (absent = the perfect channel). "stations"
+// books that many contended ground stations, each serving one satellite
+// per contact window, with "contact_budget" uplink bytes per window (0 =
+// derived from the flat per-day budget, negative = unlimited; absent
+// stations = the flat per-day budget). "ref_compression" stores
+// on-board references encoded at the uplink's reference rate
+// (decode-on-visit) and "tiled_store" switches every codec pass to the
+// tiled profile. The zero value means the system's defaults; unknown
+// Params or StrParams keys are a CodeBadConfig error.
 type SystemSpec = registry.Spec
 
 // SystemFactory builds a configured system for an environment.
