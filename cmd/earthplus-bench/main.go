@@ -9,12 +9,12 @@
 //	earthplus-bench -full      # every experiment, full scale
 //	earthplus-bench -only fig11b
 //	earthplus-bench -only codecbench   # codec perf snapshot -> BENCH_codec.json
-//	earthplus-bench -only simbench     # sim engine snapshot -> BENCH_sim.json
-//	earthplus-bench -only servebench   # serving-tier load snapshot -> BENCH_serve.json
 //	earthplus-bench -only constsweep   # contended ground-station sweep
-//	earthplus-bench -only simscale     # engine worker-scaling probe
 //	earthplus-bench -simworkers 8      # bound per-day location shards
 //	earthplus-bench -list
+//
+// Simulator and serving-tier performance is measured by the repository
+// benchmark, not here: bash perfbench/run.sh (see perfbench/README.md).
 package main
 
 import (
@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"earthplus/internal/cli"
-	"earthplus/internal/servebench"
 	"earthplus/pkg/earthplus"
 )
 
@@ -40,10 +39,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment identifiers and exit")
 	benchJSON := flag.String("benchjson", "BENCH_codec.json",
 		"where codecbench writes its JSON snapshot (empty = don't write)")
-	simBenchJSON := flag.String("simbenchjson", "BENCH_sim.json",
-		"where simbench writes its JSON snapshot (empty = don't write)")
-	serveBenchJSON := flag.String("servebenchjson", "BENCH_serve.json",
-		"where servebench writes its JSON snapshot (empty = don't write)")
 	flag.Parse()
 	cli.MustValidate("earthplus-bench", &params)
 
@@ -53,17 +48,7 @@ func main() {
 	}
 	sc.SimWorkers = perf.SimWorkers
 	params.ApplyToSpec(&sc.EarthPlus)
-	jobs := earthplus.Experiments(sc, *benchJSON, *simBenchJSON)
-	// The serving-tier load snapshot lives outside the public catalog:
-	// internal/experiments sits below pkg/earthplus in the import graph and
-	// so cannot reach pkg/earthplus/serve; appending the job here keeps the
-	// Experiments signature stable.
-	jobs = append(jobs, earthplus.ExperimentJob{
-		Key: "servebench",
-		Run: func() (earthplus.ExperimentResult, error) {
-			return servebench.Run(*serveBenchJSON)
-		},
-	})
+	jobs := earthplus.Experiments(sc, *benchJSON)
 
 	if *list {
 		var keys []string

@@ -16,10 +16,7 @@
 //     as a production serving tier: a persistent content-addressed
 //     result cache, per-client token-bucket rate limiting (429 with an
 //     escalating Retry-After), request coalescing and bounded workers,
-//     with every error path answering taxonomy JSON. The in-process
-//     load harness behind earthplus-bench -only servebench
-//     (internal/servebench) tracks its latency and throughput in
-//     BENCH_serve.json.
+//     with every error path answering taxonomy JSON.
 //   - internal/container, internal/registry, internal/eperr — the frame
 //     format, the registry and the error taxonomy underneath the API.
 //   - internal/codec — the layered wavelet codec every encode funnels
@@ -50,11 +47,9 @@
 // packing runs on a sequential barrier. Results are byte-identical to the
 // serial path at any worker count (only the measured wall-clock timing
 // fields vary); determinism is pinned under -race by the internal/sim
-// tests and tracked by the BENCH_sim.json snapshot
-// (cmd/earthplus-bench -only simbench). Scene synthesis draws capture
-// buffers from pools (scene.ReleaseCapture recycles them), and
-// sim.RunStream plus sim.Accumulator aggregate records without retaining
-// them.
+// tests. Scene synthesis draws capture buffers from pools
+// (scene.ReleaseCapture recycles them), and sim.RunStream plus
+// sim.Accumulator aggregate records without retaining them.
 //
 // # Storage model
 //
@@ -79,16 +74,17 @@
 // reference rate instead of raw 16-bit planes: footprints are the actual
 // encoded bytes (~2-5x more locations per budget), Visit decodes lazily
 // through a small decoded-plane LRU (the decode-on-visit cost model,
-// whose decode count, LRU absorptions and measured wall-clock are
-// recorded in BENCH_sim.json as ref_decode),
+// whose decode count, LRU absorptions and measured wall-clock the
+// benchmark reports as sat.ref_decodes, sat.ref_lru_hits and
+// sat.ref_decode_s),
 // uplink updates route their storage frame straight into the store
 // (sat.RefCache.PutFrame), and the ground simulates the same storage
 // codec on its mirrors (station.Config.CompressRefs) so delta uplinks
 // stay byte-coherent. The storage sweep (earthplus-bench -only
-// storagesweep; also embedded in the BENCH_sim.json snapshot) measures
-// compression ratio, uplink use and reference residency against the
-// budget for the raw and compressed Earth+ stores at equal budgets,
-// both baselines, and both eviction policies at a fixed budget.
+// storagesweep) measures compression ratio, uplink use and reference
+// residency against the budget for the raw and compressed Earth+ stores
+// at equal budgets, both baselines, and both eviction policies at a fixed
+// budget.
 //
 // # Constellation ground segment
 //
@@ -111,11 +107,11 @@
 // (constellation.EventTracker, a sim.Observer) watches every scene change
 // event and records time-to-usable-image: days from event onset until a
 // downlinked frame scores the usable PSNR bar over the event's tiles. The
-// constellation sweep (earthplus-bench -only constsweep; embedded in
-// BENCH_sim.json) measures quality, stalls, re-seed backlog and TTUI over
-// fleet sizes x station counts, and fleet-scale determinism is pinned by
-// the internal/sim tests (16 satellites, 2 stations, every worker count
-// identical down to the contact log).
+// constellation sweep (earthplus-bench -only constsweep) measures
+// quality, stalls, re-seed backlog and TTUI over fleet sizes x station
+// counts, and fleet-scale determinism is pinned by the internal/sim tests
+// (16 satellites, 2 stations, every worker count identical down to the
+// contact log).
 //
 // # Performance
 //
@@ -134,6 +130,14 @@
 // uplink and a per-tile worker pool. See README.md for the perf knobs
 // and how to run the microbenchmarks, and cmd/earthplus-bench -only
 // codecbench for the tracked BENCH_codec.json snapshot.
+//
+// The repository benchmark (bash perfbench/run.sh; see
+// perfbench/README.md) measures the whole system: end-to-end capture
+// throughput at matched quality on two constellation shapes
+// (sentinel-rich, doves-fleet), an open-loop serving mix (serve-mixed)
+// with p50/p99 latency, and per-layer metrics (sat.cloud_ms,
+// sat.change_ms, sat.encode_ms, sat.ref_decode_s, serve.*) under
+// --trace 1.
 //
 // The determinism, pooling and error-taxonomy invariants above are
 // machine-enforced: tools/ houses a custom go/analysis suite

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"math"
 
 	"earthplus/internal/eperr"
 )
@@ -58,13 +57,14 @@ const (
 )
 
 // MaxBands bounds the band count a frame may claim; a hostile header
-// cannot demand an absurd band-table allocation.
-var MaxBands = 4096
+// cannot demand an absurd band-table allocation. It sits below the 16-bit
+// count field's range, so every frame Pack accepts is representable.
+const MaxBands = 4096
 
-// MaxBytes bounds the total frame size ReadFrom will assemble from a
-// stream (1 GiB by default). Split applies it too, so a hostile length
-// table cannot claim payloads beyond it.
-var MaxBytes = 1 << 30
+// maxBytes bounds the total frame size ReadFrom will assemble from a
+// stream (1 GiB). Split applies it too, so a hostile length table cannot
+// claim payloads beyond it.
+const maxBytes = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -78,18 +78,13 @@ func Overhead(n int) int { return headerFixed + 4*n + crcLen }
 
 // Pack frames a per-band codestream set. Nil or empty band payloads are
 // recorded as absent. The payload bytes are copied, so callers may reuse
-// their slices. Band counts beyond MaxBands — or beyond the 16-bit count
-// field, whatever a caller sets MaxBands to — panic: the band table could
-// not be decoded by any reader, so emitting such a frame would silently
-// produce permanently-corrupt wire bytes — input-facing layers validate
-// the count before packing.
+// their slices. Band counts beyond MaxBands panic: no reader would accept
+// the band table, so emitting such a frame would silently produce
+// permanently-unreadable wire bytes — input-facing layers validate the
+// count before packing.
 func Pack(bands [][]byte) Codestream {
-	limit := MaxBands
-	if limit > math.MaxUint16 {
-		limit = math.MaxUint16 // the count field is 16-bit regardless of MaxBands
-	}
-	if len(bands) > limit {
-		panic(fmt.Sprintf("container: %d bands exceeds the %d-band frame bound", len(bands), limit))
+	if len(bands) > MaxBands {
+		panic(fmt.Sprintf("container: %d bands exceeds the %d-band frame bound", len(bands), MaxBands))
 	}
 	total := Overhead(len(bands))
 	for _, b := range bands {
@@ -156,8 +151,8 @@ func (c Codestream) parseHeader() (lens []int, payloadOff int, err error) {
 	for i := range lens {
 		lens[i] = int(binary.LittleEndian.Uint32(c[headerFixed+4*i:]))
 		total += lens[i]
-		if total > MaxBytes {
-			return nil, 0, eperr.New(eperr.BadCodestream, "container", "band table claims more than MaxBytes (%d)", MaxBytes)
+		if total > maxBytes {
+			return nil, 0, eperr.New(eperr.BadCodestream, "container", "band table claims more than %d bytes", maxBytes)
 		}
 	}
 	if len(c) != payloadOff+total+crcLen {
@@ -289,8 +284,8 @@ func ReadFrom(r io.Reader) (Codestream, error) {
 	total := 0
 	for i := 0; i < n; i++ {
 		total += int(binary.LittleEndian.Uint32(table[4*i:]))
-		if total > MaxBytes {
-			return nil, eperr.New(eperr.BadCodestream, "container", "band table claims more than MaxBytes (%d)", MaxBytes)
+		if total > maxBytes {
+			return nil, eperr.New(eperr.BadCodestream, "container", "band table claims more than %d bytes", maxBytes)
 		}
 	}
 	rest := make([]byte, total+crcLen)

@@ -109,10 +109,6 @@ type Config struct {
 // measured encoded bytes.
 const RefStoreBitsPerSample = sat.RawBitsPerSample
 
-// DefaultStorageBudget is the derived default reference-store budget: the
-// Doves Table 1 on-board storage (360 GB).
-func DefaultStorageBudget() int64 { return sat.ResolveBudget(0) }
-
 // CacheConfig resolves the on-board reference-store configuration this
 // Config produces, minus the per-satellite NextVisit schedule core.New
 // fills in. It is the ONE derivation shared by New and by everything
@@ -778,8 +774,8 @@ func (s *System) DecodeStats() (decodes, lruHits int64) {
 
 // DecodeWall sums the fleet's decode-on-visit wall-clock (zero without
 // RefCompression). Advisory like DecodeStats, but it is the measured
-// CPU price of the compressed store, which the sim-engine snapshot
-// records alongside the counters.
+// CPU price of the compressed store, which the benchmark reports
+// alongside the counters.
 func (s *System) DecodeWall() time.Duration {
 	var total time.Duration
 	for id := 0; id < s.env.Orbit.Satellites; id++ {

@@ -7,12 +7,11 @@ type Job struct {
 	Run func() (Result, error)
 }
 
-// Catalog lists every regenerable table, figure, ablation and performance
-// snapshot at the given scale, in render order. benchJSON and
-// simBenchJSON name the files the two perf snapshots write (empty =
-// don't write). cmd/earthplus-bench and the public API iterate this
-// instead of hand-rolling the job table.
-func Catalog(sc Scale, benchJSON, simBenchJSON string) []Job {
+// Catalog lists every regenerable table, figure, ablation and the codec
+// perf snapshot at the given scale, in render order. benchJSON names the
+// file the codec snapshot writes (empty = don't write). cmd/earthplus-bench
+// and the public API iterate this instead of hand-rolling the job table.
+func Catalog(sc Scale, benchJSON string) []Job {
 	return []Job{
 		{"table1", func() (Result, error) { return Table1(), nil }},
 		{"table2", func() (Result, error) { return Table2(sc), nil }},
@@ -36,7 +35,5 @@ func Catalog(sc Scale, benchJSON, simBenchJSON string) []Job {
 		{"ablation-guarantee", func() (Result, error) { return AblationGuarantee(sc) }},
 		{"ablation-reject", func() (Result, error) { return AblationReject(sc) }},
 		{"codecbench", func() (Result, error) { return CodecBench(benchJSON) }},
-		{"simscale", func() (Result, error) { return SimScaling() }},
-		{"simbench", func() (Result, error) { return SimBench(simBenchJSON) }},
 	}
 }

@@ -48,7 +48,7 @@ type LossPoint struct {
 	// inside this figure, so it can never exceed the budget.
 	UpBytesPerDay float64 `json:"uplink_bytes_per_day"`
 	// UplinkBudgetPerDay is the daily uplink budget the run packed
-	// against, for reading the margin off the snapshot directly.
+	// against, for reading the margin off the table directly.
 	UplinkBudgetPerDay int64 `json:"uplink_budget_per_day"`
 	// Misses counts reference-miss fallbacks (a reference lost in transit
 	// degrades to PR-4's reference-free encoding until re-seeded).
@@ -132,53 +132,6 @@ func LossSweep(sc Scale) (*LossSweepResult, error) {
 		res.Points = append(res.Points, p)
 	}
 	return res, nil
-}
-
-// lossDeterminismCheck runs a lossy Earth+ configuration at each worker
-// count and reports whether every run's records are identical to the
-// serial one and whether link faults actually fired (a fault-free run
-// would prove nothing). The sim-engine snapshot records both bits: fault
-// outcomes are pure functions of (seed, direction, satellite, day,
-// location), so the worker count must not change them.
-func lossDeterminismCheck(sc Scale, workers []int, rate float64) (deterministic, faulted bool, err error) {
-	run := func(w int) ([]sim.Record, bool, error) {
-		env := envFor(sc, richConfig(sc), lossOrbit(), defaultUplinkDivisor)
-		env.Parallelism = w
-		spec := registry.Spec{
-			GammaBPP: fig12Gamma,
-			Params:   map[string]float64{"link_loss": rate, "link_seed": lossSweepSeed},
-		}
-		sys, err := registry.New(core.SystemName, env, spec)
-		if err != nil {
-			return nil, false, err
-		}
-		var recs []sim.Record
-		if _, err := runSystemStream(sc, env, sys, func(r *sim.Record) { recs = append(recs, *r) }); err != nil {
-			return nil, false, err
-		}
-		st := sys.(linkStatser).LinkStats()
-		fired := st.UplinkDropped+st.UplinkCorrupted+st.DownlinkDropped+st.DownlinkCorrupted > 0
-		return recs, fired, nil
-	}
-	serial, serialFaulted, err := run(1)
-	if err != nil {
-		return false, false, err
-	}
-	deterministic, faulted = true, serialFaulted
-	for _, w := range workers {
-		if w <= 1 {
-			continue
-		}
-		recs, fired, err := run(w)
-		if err != nil {
-			return false, false, err
-		}
-		if !sim.RecordsEqualIgnoringTimings(serial, recs) {
-			deterministic = false
-		}
-		faulted = faulted && fired
-	}
-	return deterministic, faulted, nil
 }
 
 // ID implements Result.

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"earthplus/internal/baseline"
 	"earthplus/internal/core"
@@ -297,112 +296,6 @@ func StorageSweep(sc Scale) (*StorageSweepResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// decodeStatser is the slice of core.System the decode-on-visit
-// snapshot needs.
-type decodeStatser interface {
-	DecodeStats() (decodes, lruHits int64)
-	DecodeWall() time.Duration
-}
-
-// spliceStatser is the slice of core.System the tiled-profile snapshot
-// needs on top of decodeStatser.
-type spliceStatser interface {
-	SpliceTileStats() (reencoded, total int64)
-}
-
-// storageDeterminismCheck runs a tightly storage-bounded Earth+
-// configuration (a tenth of the reference working set, so evictions and
-// miss-fallbacks dominate) at each worker count and reports whether every
-// run's records are identical to the serial one and whether evictions
-// actually occurred. With compress it runs the ref_compression=on store —
-// decode-on-visit and encoded-byte accounting are then the newest state
-// the determinism contract has to cover — and also returns the serial
-// run's decode-on-visit cost (count, LRU absorptions, wall-clock), so
-// the sim-engine snapshot records what decode-on-visit actually costs
-// instead of leaving the counters advisory-only. The sim-engine snapshot
-// records both configurations. With tiled (implies compress) the store
-// runs the tiled (EPT1) codestream profile and the returned cost also
-// carries the ground's per-tile splice savings.
-func storageDeterminismCheck(sc Scale, workers []int, compress, tiled bool) (deterministic, evicted bool, decode *RefDecodeCost, err error) {
-	cfg := richConfig(sc)
-	def := core.DefaultConfig()
-	down := def.RefDownsample
-	if tiled {
-		// The ground's per-tile splice only has something to save when a
-		// reference spans several 64px codec tiles: at the snapshot's
-		// 192x192 scene the default detection downsample (4) yields 48x48
-		// references — a single tile, so every splice trivially re-encodes
-		// everything. Halve the downsample (96x96 references, a 2x2 codec
-		// tile grid) so localized deltas leave untouched tiles behind.
-		down = 2
-	}
-	workingSet := refWorkingSet(cfg, down, def.CacheConfig())
-	budget := workingSet / 10
-	if compress {
-		// A tenth of the RAW working set sits below even one compressed
-		// reference at the snapshot's few-location scale: the store would
-		// stay empty and the decode-on-visit path (the very state this
-		// check covers) would never run. A quarter keeps the compressed
-		// store pressured — capacity for some but not all locations — so
-		// evictions AND decodes both happen.
-		budget = workingSet / 4
-	}
-	run := func(w int) ([]sim.Record, bool, *RefDecodeCost, error) {
-		env := envFor(sc, cfg, richOrbit(), defaultUplinkDivisor)
-		env.Parallelism = w
-		spec := registry.Spec{
-			GammaBPP:  fig12Gamma,
-			Params:    map[string]float64{"storage_bytes": float64(budget)},
-			StrParams: map[string]string{"evict_policy": "lru"},
-		}
-		if compress {
-			spec.StrParams["ref_compression"] = "on"
-		}
-		if tiled {
-			spec.StrParams["tiled_store"] = "on"
-			spec.Params["ref_downsample"] = float64(down)
-		}
-		sys, err := registry.New(core.SystemName, env, spec)
-		if err != nil {
-			return nil, false, nil, err
-		}
-		var recs []sim.Record
-		if _, err := runSystemStream(sc, env, sys, func(r *sim.Record) { recs = append(recs, *r) }); err != nil {
-			return nil, false, nil, err
-		}
-		ev, _ := sys.(storageStatser).StorageStats()
-		var cost *RefDecodeCost
-		if compress {
-			ds := sys.(decodeStatser)
-			decodes, hits := ds.DecodeStats()
-			cost = &RefDecodeCost{Decodes: decodes, LRUHits: hits, WallSeconds: ds.DecodeWall().Seconds()}
-			if tiled {
-				cost.SpliceTilesReencoded, cost.SpliceTilesTotal = sys.(spliceStatser).SpliceTileStats()
-			}
-		}
-		return recs, ev > 0, cost, nil
-	}
-	serial, serialEvicted, serialDecode, err := run(1)
-	if err != nil {
-		return false, false, nil, err
-	}
-	deterministic, evicted = true, serialEvicted
-	for _, w := range workers {
-		if w <= 1 {
-			continue
-		}
-		recs, ev, _, err := run(w)
-		if err != nil {
-			return false, false, nil, err
-		}
-		if !sim.RecordsEqualIgnoringTimings(serial, recs) {
-			deterministic = false
-		}
-		evicted = evicted && ev
-	}
-	return deterministic, evicted, serialDecode, nil
 }
 
 // ID implements Result.

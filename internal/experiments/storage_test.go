@@ -141,6 +141,9 @@ func TestStorageSweepMonotoneAndExercised(t *testing.T) {
 	}
 	// The eviction-policy sweep records both policies for both bounded
 	// systems at the same fixed budget.
+	if len(res.PolicySweep) != 4 {
+		t.Fatalf("policy sweep has %d points, want 4: %+v", len(res.PolicySweep), res.PolicySweep)
+	}
 	seen := map[string]bool{}
 	for _, p := range res.PolicySweep {
 		seen[p.System+"/"+p.Policy] = true

@@ -476,9 +476,6 @@ func NewBoundedRefCache(cfg CacheConfig) (*RefCache, error) {
 	return c, nil
 }
 
-// Compressed reports whether entries are stored as encoded frames.
-func (c *RefCache) Compressed() bool { return c.cfg.Compress }
-
 // encodeFrame runs the storage codec over a reference image. The cache
 // produced the image itself, so an encode failure is a programming error,
 // not a runtime condition.
@@ -821,7 +818,7 @@ func (c *RefCache) DecodeStats() (decodes, lruHits int64) {
 // frames on visit. Like DecodeStats it is advisory: the total varies
 // with LRU churn (and so with the engine's worker count), but it is the
 // actual decode-on-visit price a compressed store paid, which the
-// sim-engine snapshot records so the cost stops being invisible.
+// benchmark reports as sat.ref_decode_s so the cost stops being invisible.
 func (c *RefCache) DecodeWall() time.Duration {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -23,8 +23,8 @@ func QuickScale() Scale { return experiments.QuickScale() }
 func FullScale() Scale { return experiments.FullScale() }
 
 // Experiments lists every regenerable artefact of the paper's evaluation
-// at a scale, in render order. benchJSON and simBenchJSON name the files
-// the codec and sim performance snapshots write (empty = don't write).
-func Experiments(sc Scale, benchJSON, simBenchJSON string) []ExperimentJob {
-	return experiments.Catalog(sc, benchJSON, simBenchJSON)
+// at a scale, in render order. benchJSON names the file the codec
+// performance snapshot writes (empty = don't write).
+func Experiments(sc Scale, benchJSON string) []ExperimentJob {
+	return experiments.Catalog(sc, benchJSON)
 }

@@ -77,7 +77,7 @@ func TestRegisterCustomSystem(t *testing.T) {
 }
 
 func TestExperimentCatalog(t *testing.T) {
-	jobs := earthplus.Experiments(earthplus.QuickScale(), "", "")
+	jobs := earthplus.Experiments(earthplus.QuickScale(), "")
 	if len(jobs) < 15 {
 		t.Fatalf("only %d experiment jobs", len(jobs))
 	}
@@ -91,9 +91,15 @@ func TestExperimentCatalog(t *testing.T) {
 		}
 		keys[j.Key] = true
 	}
-	for _, want := range []string{"table1", "fig11b", "codecbench", "simbench", "ablation-theta"} {
+	for _, want := range []string{"table1", "fig11b", "codecbench", "storagesweep", "losssweep", "constsweep", "ablation-theta"} {
 		if !keys[want] {
 			t.Fatalf("catalog is missing %q", want)
+		}
+	}
+	// Sim and serving performance live in perfbench, not in the catalog.
+	for _, gone := range []string{"simbench", "simscale", "servebench"} {
+		if keys[gone] {
+			t.Fatalf("catalog still lists the retired %q job", gone)
 		}
 	}
 	if fs := earthplus.FullScale(); fs.EvalDays <= earthplus.QuickScale().EvalDays {
